@@ -4,9 +4,7 @@ The async rewrite's acceptance bench (DESIGN.md §12): one
 ``repro serve`` daemon takes 10 → 200 *simultaneous* remote backup
 streams, each a separate client session on its own connection.  The
 multiplexed event loop must keep per-stream cost flat — wall clock over
-N streams at N=200 stays within 2x of N=10 — where the old
-thread-per-connection core pays a thread per socket.  The threaded core
-is measured at the low end as the comparison baseline.
+N streams at N=200 stays within 2x of N=10.
 
 Also probed here, because they only show up under load:
 
@@ -29,10 +27,8 @@ from repro.net import messages as m
 from repro.net.server import serve_vault
 from repro.system.vault import DebarVault
 
-#: Simultaneous stream counts for the async core (the acceptance sweep)
-#: and for the threaded baseline (kept low: it burns a thread per socket).
+#: Simultaneous stream counts (the acceptance sweep).
 ASYNC_STREAMS = [10, 50, 100, 200]
-THREADED_STREAMS = [10, 50]
 
 #: Per-stream dataset volume at scale 1.0 (files x bytes each).
 N_FILES = 2
@@ -106,14 +102,11 @@ def _run_streams(server, datasets, verify_sample):
     return wall
 
 
-def _measure_core(tmp: Path, registry, threaded, n_streams, scale):
-    label = "threaded" if threaded else "async"
-    root = tmp / f"{label}-{n_streams}"
+def _measure_core(tmp: Path, registry, n_streams, scale):
+    root = tmp / f"async-{n_streams}"
     root.mkdir()
     vault = DebarVault(root / "vault")
-    server = serve_vault(
-        vault, registry=registry, threaded=threaded, max_inflight=256
-    )
+    server = serve_vault(vault, registry=registry, max_inflight=256)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     try:
         datasets = _write_stream_datasets(root, n_streams, scale)
@@ -124,7 +117,7 @@ def _measure_core(tmp: Path, registry, threaded, n_streams, scale):
         server.server_close()
         vault.close()
     return {
-        "core": label,
+        "core": "async",
         "streams": n_streams,
         "wall_seconds": wall,
         "per_stream_seconds": wall / n_streams,
@@ -173,12 +166,10 @@ def test_serve_concurrency(results_dir, tmp_path):
     rows = []
     with telemetry_session() as (registry, tracer):
         for n in ASYNC_STREAMS:
-            rows.append(_measure_core(tmp_path, registry, False, n, scale))
-        for n in THREADED_STREAMS:
-            rows.append(_measure_core(tmp_path, registry, True, n, scale))
+            rows.append(_measure_core(tmp_path, registry, n, scale))
         drain_seconds = _probe_drain_under_load(tmp_path, registry)
 
-    by_async = {r["streams"]: r for r in rows if r["core"] == "async"}
+    by_async = {r["streams"]: r for r in rows}
     flatness = (
         by_async[ASYNC_STREAMS[-1]]["per_stream_seconds"]
         / by_async[ASYNC_STREAMS[0]]["per_stream_seconds"]
@@ -217,7 +208,6 @@ def test_serve_concurrency(results_dir, tmp_path):
         params={
             "scale": scale,
             "async_streams": ASYNC_STREAMS,
-            "threaded_streams": THREADED_STREAMS,
             "files_per_stream": N_FILES,
             "file_bytes": max(4096, int(FILE_BYTES * scale)),
             "max_inflight": 256,

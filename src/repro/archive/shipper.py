@@ -2,28 +2,22 @@
 
 One :class:`ArchiveShipper` rides beside a
 :class:`~repro.system.vault.DebarVault` (the ``repro serve --archive-to``
-wiring), exactly like the container :class:`~repro.replication.replicator.
-Replicator` it is modeled on.  After every committed run — strictly
-*after* dedup-2, so the inline backup path never waits on the archive —
-``notify_run`` diffs the catalog against the per-peer ack state and
-enqueues the runs each archive is still owed.  Everything heavy happens
-in the worker threads:
+wiring).  The mechanism — per-peer workers, in-flight window,
+backpressure, backoff, persisted acks — is the shared
+:class:`~repro.net.shipper.AsyncShipper`; this is its delta *policy*:
 
-* one worker thread and one :class:`~repro.net.client.NetClient` per
-  peer, draining a per-peer FIFO of ``(job, run_id)`` tasks **in run
-  order** (deltas, unlike containers, are order-dependent: each one
-  applies against the archive's current tip);
-* the delta itself is cut lazily at ship time (catalog recipe diff +
-  chunk-store reads), so the inline cost of shipping is enqueueing a
-  couple of tuples — ~0%;
-* a shared in-flight window (semaphore) and a bounded queue with
-  backpressure, as in the replicator;
-* pushes are idempotent end to end: the wire layer retries under the
-  server's response cache, and the archive treats a re-push of an
-  applied run (``run_id <= tip``) as a no-op ack — which is also what
-  makes a shipper restart after a crash-before-ack safe;
-* acked run ids persist per peer and job in ``<vault>/archive.json``; a
-  lost state file merely causes harmless re-pushes.
+* **owed**: per job, every catalogued run above the peer's acked floor
+  (``<vault>/archive.json``), **in run order** — deltas, unlike
+  containers, are order-dependent (each applies against the archive's
+  current tip), which the engine's one FIFO per peer with requeue at the
+  head preserves;
+* **shipped** as a delta cut lazily at ship time (catalog recipe diff +
+  chunk-store reads) against that floor, so the inline cost of shipping
+  is enqueueing a couple of tuples — ~0%.  Pushes are idempotent end to
+  end: the wire layer retries under the server's response cache, and the
+  archive treats a re-push of an applied run (``run_id <= tip``) as a
+  no-op ack — which makes a restart after a crash-before-ack safe, and is
+  why run ids must be monotonic (DESIGN.md §15.2).
 
 Telemetry: ``archive.deltas_cut``, ``archive.deltas_shipped``,
 ``archive.bytes_shipped``, ``archive.push_errors``,
@@ -32,51 +26,26 @@ Telemetry: ``archive.deltas_cut``, ``archive.deltas_shipped``,
 
 from __future__ import annotations
 
-import json
-import threading
-from collections import deque
-from pathlib import Path
-from typing import Deque, Dict, Optional, Set, Tuple
+import functools
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.archive.delta import cut_delta, pack_delta
 from repro.net import messages as m
-from repro.net.client import NetClient, RemoteError, RetryPolicy
-from repro.net.framing import ProtocolError
-from repro.telemetry.registry import MetricsRegistry, get_registry
-
-#: State file name inside the vault root.
-STATE_FILE = "archive.json"
-
-#: Default bound on queued (not yet in-flight) shipment tasks.
-MAX_PENDING = 4096
-
-#: Default bound on concurrent in-flight pushes across all peers.
-WINDOW = 2
-
-#: Seconds between retries while a peer stays unreachable (capped backoff).
-_BACKOFF_BASE = 0.2
-_BACKOFF_MAX = 5.0
+from repro.net.client import NetClient, RetryPolicy
+from repro.net.shipper import AsyncShipper
+from repro.net.shipper import peers_from_state as _peers_from_state
+from repro.telemetry.registry import MetricsRegistry
 
 #: One shipment task: (job, run_id).
 Task = Tuple[str, int]
 
 
-class _PeerChannel:
-    """One archive peer's shipment lane: a FIFO of (job, run) tasks."""
-
-    def __init__(self, name: str, host: str, port: int) -> None:
-        self.name = name
-        self.host = host
-        self.port = port
-        self.queue: Deque[Task] = deque()
-        self.queued: Set[Task] = set()
-        self.in_flight = 0
-        self.errors = 0
-        self.thread: Optional[threading.Thread] = None
-
-
-class ArchiveShipper:
+class ArchiveShipper(AsyncShipper):
     """Ships a vault's per-run deltas to its archive peers, in run order."""
+
+    STATE_FILE = "archive.json"
+    PREFIX = "archive"
+    WINDOW = 2
 
     def __init__(
         self,
@@ -85,302 +54,61 @@ class ArchiveShipper:
         peers: Dict[str, Tuple[str, int]],
         registry: Optional[MetricsRegistry] = None,
         retry: Optional[RetryPolicy] = None,
-        window: int = WINDOW,
-        max_pending: int = MAX_PENDING,
     ) -> None:
-        if node_name in peers:
-            raise ValueError(f"node {node_name!r} cannot be its own archive")
         if not peers:
             raise ValueError("an archive shipper needs at least one peer")
-        self.vault = vault
-        self.node_name = node_name
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.max_pending = max_pending
-        self._window = threading.Semaphore(max(1, window))
-        self._cond = threading.Condition()
-        self._paused = False
-        self._stopping = False
-        self._channels: Dict[str, _PeerChannel] = {
-            name: _PeerChannel(name, host, port)
-            for name, (host, port) in peers.items()
-        }
-        self._state_path = Path(vault.root) / STATE_FILE
-        #: peer -> job -> last run id the archive acked.
-        self._acked: Dict[str, Dict[str, int]] = {name: {} for name in peers}
-        self._load_state()
+        super().__init__(vault, node_name, peers, registry, retry)
         #: Crash-point announcer (repro.audit.faults); None in production.
         self.fault_hook = None
-        registry = registry if registry is not None else get_registry()
-        self.registry = registry
-        self._t_depth = registry.gauge(
-            "archive.queue_depth", "delta shipments queued, not yet in flight"
-        ).labels()
-        self._t_lag = registry.gauge(
-            "archive.lag", "delta shipments owed to archives (queued + in flight)"
-        ).labels()
-        self._t_cut = registry.counter(
+        self._t_cut = self.registry.counter(
             "archive.deltas_cut", "per-run delta objects cut from the catalog"
         ).labels()
-        self._t_shipped = registry.counter(
+        self._t_shipped = self.registry.counter(
             "archive.deltas_shipped", "delta objects acked by an archive peer"
         )
-        self._t_bytes = registry.counter(
+        self._t_bytes = self.registry.counter(
             "archive.bytes_shipped", "delta bytes acked by an archive peer"
         )
-        self._t_errors = registry.counter(
-            "archive.push_errors", "failed delta pushes (retried with backoff)"
-        )
-        for channel in self._channels.values():
-            channel.thread = threading.Thread(
-                target=self._worker,
-                args=(channel,),
-                name=f"archive-{channel.name}",
-                daemon=True,
-            )
-            channel.thread.start()
 
-    # -- persistent state --------------------------------------------------------
-    def _load_state(self) -> None:
-        if not self._state_path.exists():
-            return
-        try:
-            doc = json.loads(self._state_path.read_text())
-        except (ValueError, OSError):
-            return  # harmless: everything re-pushes idempotently
-        for name, jobs in doc.get("acked", {}).items():
-            if name in self._acked and isinstance(jobs, dict):
-                for job, run_id in jobs.items():
-                    self._acked[name][str(job)] = int(run_id)
+    # -- ack state: job -> last run id the archive acked ----------------------------
+    def _load_acked(self, doc) -> Dict[str, int]:
+        if not isinstance(doc, dict):
+            return {}
+        return {str(job): int(run_id) for job, run_id in doc.items()}
 
-    def _save_state(self) -> None:
-        doc = {
-            "node": self.node_name,
-            "peers": {
-                name: f"{c.host}:{c.port}" for name, c in self._channels.items()
-            },
-            "acked": {name: dict(jobs) for name, jobs in self._acked.items()},
-        }
-        tmp = self._state_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(doc, indent=1))
-        tmp.replace(self._state_path)
+    def _dump_acked(self, acked: Dict[str, int]) -> Dict[str, int]:
+        return dict(acked)
 
-    # -- enqueueing ---------------------------------------------------------------
-    def _pending_total(self) -> int:
-        return sum(len(c.queue) for c in self._channels.values())
+    def _fold_ack(self, acked: Dict[str, int], task: Task) -> None:
+        job, run_id = task
+        acked[job] = max(acked.get(job, 0), run_id)
 
-    def _in_flight_total(self) -> int:
-        return sum(c.in_flight for c in self._channels.values())
-
-    def _publish_gauges(self) -> None:
-        depth = self._pending_total()
-        self._t_depth.set(depth)
-        self._t_lag.set(depth + self._in_flight_total())
-
-    def sync(self) -> int:
-        """Diff the catalog against acked state; enqueue what's owed.
-
-        Returns the number of delta shipments enqueued.  Run order per
-        job is preserved (the FIFO contract the archive enforces).
-        Blocks only when the queue is at ``max_pending`` (backpressure),
-        never on the network and never on chunk I/O.
-        """
+    # -- what is owed, and how it ships ---------------------------------------------
+    def _owed(self) -> Iterator[Tuple[str, Task]]:
         chains: Dict[str, list] = {}
         for run in self.vault.runs():
             chains.setdefault(run.job, []).append(run.run_id)
-        enqueued = 0
         for job, run_ids in chains.items():
             run_ids.sort()
-            for channel in self._channels.values():
-                floor = self._acked[channel.name].get(job, 0)
+            for peer, acked in self._acked.items():
+                floor = acked.get(job, 0)
                 for run_id in run_ids:
-                    if run_id <= floor:
-                        continue
-                    task = (job, run_id)
-                    with self._cond:
-                        if task in channel.queued:
-                            continue
-                        while (
-                            self._pending_total() >= self.max_pending
-                            and not self._stopping
-                        ):
-                            self._cond.wait(0.05)
-                        if self._stopping:
-                            return enqueued
-                        channel.queue.append(task)
-                        channel.queued.add(task)
-                        enqueued += 1
-                        self._publish_gauges()
-                        self._cond.notify_all()
-        return enqueued
+                    if run_id > floor:
+                        yield peer, (job, run_id)
 
-    def notify_run(self, run=None) -> None:
-        """Hook for :meth:`DebarVault.backup_stream`: a run just committed
-        (dedup-2 complete, containers sealed, catalog written)."""
-        self.sync()
-
-    # -- flow control -------------------------------------------------------------
-    def pause(self) -> None:
-        """Stall the queue (tests and benchmarks): nothing ships until
-        :meth:`resume`; enqueueing and lag accounting continue."""
-        with self._cond:
-            self._paused = True
-
-    def resume(self) -> None:
-        with self._cond:
-            self._paused = False
-            self._cond.notify_all()
-
-    def lag(self) -> int:
-        with self._cond:
-            return self._pending_total() + self._in_flight_total()
-
-    def drain(self, timeout: Optional[float] = 30.0) -> bool:
-        """Block until every queued shipment is acked (or timeout)."""
-        import time as _time
-
-        deadline = None if timeout is None else _time.monotonic() + timeout
-        with self._cond:
-            while True:
-                if self._pending_total() == 0 and self._in_flight_total() == 0:
-                    return True
-                if self._stopping:
-                    return False
-                remaining = (
-                    None if deadline is None else deadline - _time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._cond.wait(0.05 if remaining is None else min(0.05, remaining))
-
-    def close(self, drain: bool = True, timeout: Optional[float] = 30.0) -> bool:
-        """Stop the workers; with ``drain`` first wait for the queue."""
-        drained = self.drain(timeout) if drain else False
-        with self._cond:
-            self._stopping = True
-            self._cond.notify_all()
-        for channel in self._channels.values():
-            if channel.thread is not None:
-                channel.thread.join(timeout=5.0)
-        return drained
-
-    # -- status -------------------------------------------------------------------
-    def status(self) -> dict:
-        """JSON-able outbound state (the ``repro archive-status`` body)."""
-        with self._cond:
-            return {
-                "node": self.node_name,
-                "peers": {
-                    name: {
-                        "address": f"{c.host}:{c.port}",
-                        "queued": len(c.queue),
-                        "in_flight": c.in_flight,
-                        "acked": dict(self._acked[name]),
-                        "errors": c.errors,
-                    }
-                    for name, c in self._channels.items()
-                },
-                "lag": self._pending_total() + self._in_flight_total(),
-            }
-
-    # -- the worker ---------------------------------------------------------------
-    def _next_task(self, channel: _PeerChannel) -> Optional[Task]:
-        with self._cond:
-            while True:
-                if self._stopping:
-                    return None
-                if not self._paused and channel.queue:
-                    task = channel.queue.popleft()
-                    channel.queued.discard(task)
-                    channel.in_flight += 1
-                    self._publish_gauges()
-                    return task
-                self._cond.wait(0.1)
-
-    def _task_done(self, channel: _PeerChannel) -> None:
-        with self._cond:
-            channel.in_flight -= 1
-            self._publish_gauges()
-            self._cond.notify_all()
-
-    def _requeue(self, channel: _PeerChannel, task: Task) -> None:
-        with self._cond:
-            if task not in channel.queued:
-                # Head of the line, not the tail: per-job run order is the
-                # archive's FIFO contract.
-                channel.queue.appendleft(task)
-                channel.queued.add(task)
-            channel.in_flight -= 1
-            channel.errors += 1
-            self._publish_gauges()
-            self._cond.notify_all()
-
-    def _worker(self, channel: _PeerChannel) -> None:
-        client = NetClient(
-            channel.host,
-            channel.port,
-            client_name=f"archive:{self.node_name}",
-            retry=self.retry,
-            registry=self.registry,
-        )
-        backoff = _BACKOFF_BASE
-        try:
-            while True:
-                task = self._next_task(channel)
-                if task is None:
-                    return
-                self._window.acquire()
-                try:
-                    self._push_delta(client, channel, task)
-                    backoff = _BACKOFF_BASE
-                except RemoteError:
-                    # The archive executed and refused (corrupt blob,
-                    # out-of-order chain): retrying identical bytes cannot
-                    # succeed; the next sync() re-evaluates what is owed.
-                    self._t_errors.labels(peer=channel.name).inc()
-                    with self._cond:
-                        channel.errors += 1
-                        channel.in_flight -= 1
-                        self._publish_gauges()
-                        self._cond.notify_all()
-                    continue
-                except (ProtocolError, OSError):
-                    # Transport failure after the client's own retries:
-                    # the archive is down.  Requeue (head) and back off.
-                    self._t_errors.labels(peer=channel.name).inc()
-                    self._requeue(channel, task)
-                    self._sleep_backoff(backoff)
-                    backoff = min(backoff * 2, _BACKOFF_MAX)
-                    continue
-                finally:
-                    self._window.release()
-                self._task_done(channel)
-        finally:
-            client.close()
-
-    def _sleep_backoff(self, seconds: float) -> None:
-        with self._cond:
-            if not self._stopping:
-                self._cond.wait(seconds)
-
-    def _push_delta(
-        self, client: NetClient, channel: _PeerChannel, task: Task
-    ) -> None:
+    def _push(self, client: NetClient, peer: str, task: Task) -> None:
         from repro.audit.faults import ARCHIVE_SHIP_PREACK
 
         job, run_id = task
-        floor = self._acked[channel.name].get(job, 0)
+        floor = self._acked[peer].get(job, 0)
         if run_id <= floor:
             return  # a duplicate task raced an already-advanced ack
-        run = None
-        for candidate in self.vault.runs(job):
-            if candidate.run_id == run_id:
-                run = candidate
-                break
+        run = next((r for r in self.vault.runs(job) if r.run_id == run_id), None)
         if run is None:
-            # Committed then forgotten before shipping: nothing owed.  The
-            # ack floor must NOT advance past a run the archive never saw —
-            # the next surviving run diffs against the still-acked floor,
-            # so the chain stays contiguous.
+            # Committed then forgotten before shipping: nothing owed, and
+            # no ack — the floor must NOT advance past a run the archive
+            # never saw, so the next surviving run diffs against the
+            # still-acked floor and the chain stays contiguous.
             return
         # The base is this peer's acked tip — the archive's FIFO contract.
         # cut_delta falls back to a full delta when that recipe is gone.
@@ -400,27 +128,10 @@ class ArchiveShipper:
         client.call(m.DELTA_PUSH, m.encode_container_image(envelope, blob))
         if self.fault_hook is not None:
             self.fault_hook(ARCHIVE_SHIP_PREACK)
-        self._t_shipped.labels(peer=channel.name).inc()
-        self._t_bytes.labels(peer=channel.name).inc(len(blob))
-        with self._cond:
-            self._acked[channel.name][job] = max(
-                self._acked[channel.name].get(job, 0), run_id
-            )
-            self._save_state()
+        self._t_shipped.labels(peer=peer).inc()
+        self._t_bytes.labels(peer=peer).inc(len(blob))
+        self._ack(peer, task)
 
 
-def peers_from_state(vault_root) -> Dict[str, Tuple[str, int]]:
-    """The archive peers a vault last shipped to (``archive.json``)."""
-    path = Path(vault_root) / STATE_FILE
-    if not path.exists():
-        return {}
-    try:
-        doc = json.loads(path.read_text())
-    except (ValueError, OSError):
-        return {}
-    peers: Dict[str, Tuple[str, int]] = {}
-    for name, address in doc.get("peers", {}).items():
-        host, sep, port = str(address).rpartition(":")
-        if sep and port.isdigit():
-            peers[name] = (host or "127.0.0.1", int(port))
-    return peers
+#: The archive peers a vault last shipped to (``archive.json``).
+peers_from_state = functools.partial(_peers_from_state, state_file=ArchiveShipper.STATE_FILE)

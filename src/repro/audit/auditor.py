@@ -295,8 +295,9 @@ def audit_restorability(
     ``resolve(fp)`` maps a fingerprint to its container ID (or ``None``) —
     index plus checking file, or the cluster's owner routing.  With
     ``deep`` every referenced chunk's payload is verified (materialized
-    repositories only): framed records against their stored CRC32C,
-    legacy records by re-hashing against the fingerprint.  ``chunk_log``
+    repositories only): serialized records against their stored CRC32C,
+    never-serialized (in-memory) records by re-hashing against the
+    fingerprint.  ``chunk_log``
     (when given) lets a corrupt-payload finding say whether the scrubber
     could repair it locally.
     """
@@ -350,7 +351,7 @@ def audit_restorability(
                 data = container.get(fp)
                 if rec.crc is not None:
                     damaged = crc32c(data) != rec.crc
-                else:  # legacy image: no stored CRC, re-hash instead
+                else:  # never serialized: no stored CRC yet, re-hash instead
                     damaged = sha1(data) != fp
                 if damaged:
                     report.add(

@@ -100,7 +100,7 @@ class ColdChunkReader:
         cached = self._meta.get(cid)
         if cached is not None:
             return cached
-        records, data_start, _ = self.repository.fetch_meta(cid)
+        records, data_start = self.repository.fetch_meta(cid)
         meta = ({r.fingerprint: r for r in records}, data_start)
         self._meta[cid] = meta
         return meta

@@ -113,6 +113,11 @@ def _parse_peer(spec: str):
     return name, host, port
 
 
+def _parse_peers(specs) -> dict:
+    """Repeated ``[NAME=]HOST:PORT`` flags -> ``{name: (host, port)}``."""
+    return {name: (host, port) for name, host, port in map(_parse_peer, specs)}
+
+
 def _retry_from(args):
     """The remote retry policy this invocation asked for, or None for the
     defaults.  ``--connect-timeout`` bounds only the TCP connect, so a
@@ -692,7 +697,6 @@ def cmd_serve(args) -> int:
                 port=args.port,
                 registry=registry,
                 node_name=args.node_name,
-                threaded=args.threaded,
                 max_inflight=args.max_inflight,
                 max_buffered_bytes=args.max_buffered_bytes,
                 session_ttl=args.session_ttl,
@@ -705,10 +709,7 @@ def cmd_serve(args) -> int:
         if args.replicate_to:
             from repro.replication.replicator import Replicator
 
-            peers = {}
-            for spec in args.replicate_to:
-                name, peer_host, peer_port = _parse_peer(spec)
-                peers[name] = (peer_host, peer_port)
+            peers = _parse_peers(args.replicate_to)
             replicator = Replicator(
                 vault,
                 node_name=args.node_name,
@@ -753,10 +754,7 @@ def cmd_serve(args) -> int:
         if args.archive_to:
             from repro.archive.shipper import ArchiveShipper
 
-            peers = {}
-            for spec in args.archive_to:
-                name, peer_host, peer_port = _parse_peer(spec)
-                peers[name] = (peer_host, peer_port)
+            peers = _parse_peers(args.archive_to)
             try:
                 shipper = ArchiveShipper(
                     vault,
@@ -849,12 +847,8 @@ def cmd_rebuild(args) -> int:
     """Reconstruct a lost node's vault from its surviving replicas."""
     from repro.replication.rebuild import RebuildError, rebuild_node
 
-    peers = {}
-    for spec in args.peer:
-        name, host, port = _parse_peer(spec)
-        peers[name] = (host, port)
     try:
-        report = rebuild_node(args.node, args.vault, peers)
+        report = rebuild_node(args.node, args.vault, _parse_peers(args.peer))
     except RebuildError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -891,10 +885,10 @@ def cmd_repl_status(args) -> int:
         if not Path(args.vault).is_dir():
             print(f"error: no vault at {args.vault}", file=sys.stderr)
             return EXIT_ERROR
-        from repro.replication.replicator import STATE_FILE
+        from repro.replication.replicator import Replicator
         from repro.replication.store import ReplicaStore
 
-        state_path = Path(args.vault) / STATE_FILE
+        state_path = Path(args.vault) / Replicator.STATE_FILE
         outbound = None
         if state_path.exists():
             try:
@@ -929,10 +923,10 @@ def cmd_archive_status(args) -> int:
         if not Path(args.vault).is_dir():
             print(f"error: no vault at {args.vault}", file=sys.stderr)
             return EXIT_ERROR
-        from repro.archive.shipper import STATE_FILE
+        from repro.archive.shipper import ArchiveShipper
         from repro.archive.store import ArchiveStore
 
-        state_path = Path(args.vault) / STATE_FILE
+        state_path = Path(args.vault) / ArchiveShipper.STATE_FILE
         outbound = None
         if state_path.exists():
             try:
@@ -1412,9 +1406,6 @@ def build_parser() -> argparse.ArgumentParser:
         "must HELLO with a matching client name + token, and each "
         "tenant's buffered session bytes are capped by its quota",
     )
-    p.add_argument("--threaded", action="store_true",
-                   help="use the legacy thread-per-connection core instead "
-                   "of the async event loop (benchmark baseline)")
     p.add_argument(
         "--advertise",
         default=None,

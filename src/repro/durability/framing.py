@@ -82,11 +82,6 @@ def superblock_size(payload_len: int) -> int:
     return _SB_HEADER.size + payload_len + _CRC.size
 
 
-def has_superblock(blob: bytes) -> bool:
-    """Cheap probe: does ``blob`` start with the superblock magic?"""
-    return blob[:4] == SUPERBLOCK_MAGIC
-
-
 def unpack_superblock(blob: bytes, *, artifact: str = "artifact") -> Tuple[Superblock, int]:
     """Parse and verify a superblock at the start of ``blob``.
 

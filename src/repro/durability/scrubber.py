@@ -363,7 +363,7 @@ class Scrubber:
         The container object is fetched lazily, only if repair needs it.
         """
         faults, nbytes = repo.verify_cold_payloads(cid)
-        records, _, _ = repo.fetch_meta(cid)
+        records, _ = repo.fetch_meta(cid)
         return None, faults, nbytes, len(records)
 
     def _peer_name(self, position: int, peer: object) -> str:

@@ -1,8 +1,9 @@
 """The front-door router: one address for the whole cluster (DESIGN.md §14).
 
 :class:`FrontDoorRouter` is an asyncio daemon speaking the same ``DBAR``
-frame protocol as ``repro serve`` (it reuses the framing layer and the
-serving core's event-loop shape), but it owns no vault.  It owns the
+frame protocol as ``repro serve`` (on the same
+:class:`~repro.net.aioserver.AsyncFrameServer` skeleton), but it owns no
+vault.  It owns the
 :class:`~repro.frontdoor.membership.ClusterMembership` table and serves
 two kinds of clients:
 
@@ -47,9 +48,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import random
-import socket
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -62,6 +60,7 @@ from repro.frontdoor.health import (
 from repro.frontdoor.membership import ClusterMembership, MembershipError
 from repro.frontdoor.rebalance import RebalancePlanner, collect_inventories
 from repro.net import messages as m
+from repro.net.aioserver import AsyncFrameServer, _error_frame
 from repro.net.client import RetryPolicy
 from repro.net.framing import FRAME_HEADER_SIZE, Frame, FrameError, decode_header
 from repro.telemetry.clock import wall_now
@@ -93,14 +92,6 @@ _FAILOVER_READS = frozenset({m.CHUNK_READ, m.DELTA_FETCH})
 
 class RouteError(Exception):
     """The router could not place or forward a frame."""
-
-
-def _error_frame(request_id: int, error: str, message: str) -> Frame:
-    return Frame(
-        m.ERROR,
-        request_id,
-        m.encode_json({"error": error, "message": message}),
-    )
 
 
 def _parse_address(address: str) -> Tuple[str, int]:
@@ -229,7 +220,7 @@ class _Connection:
         self.pin: Optional[str] = None
 
 
-class FrontDoorRouter:
+class FrontDoorRouter(AsyncFrameServer):
     """The cluster's single client-facing address."""
 
     def __init__(
@@ -245,6 +236,9 @@ class FrontDoorRouter:
         proxy_timeout: float = DEFAULT_PROXY_TIMEOUT,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
     ) -> None:
+        # The executor carries blocking cluster work (inventory sweeps for
+        # rebalance plans) so planning never stalls the proxy path.
+        super().__init__(host, port, workers=2, worker_name="repro-route-worker")
         self.membership = membership
         self.proxy_timeout = proxy_timeout
         self.connect_timeout = connect_timeout
@@ -262,28 +256,6 @@ class FrontDoorRouter:
         # they never collide with a client's id space.
         self._rid_base = random.SystemRandom().getrandbits(32) << 32
         self._rid_next = 0
-        # Bind synchronously: server_address valid on return, bind failure
-        # raises from the constructor (same contract as the serve core).
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            sock.bind((host, port))
-            sock.listen(128)
-        except OSError:
-            sock.close()
-            raise
-        self._listen_sock = sock
-        self.server_address = sock.getsockname()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._aio_server = None
-        self._stop_requested = False
-        self._stopped = threading.Event()
-        self._conn_tasks: set = set()
-        # Blocking cluster work (inventory sweeps for rebalance plans)
-        # stays off the loop thread.
-        self._executor = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="repro-route-worker"
-        )
         self._t_requests = registry.counter(
             "router.requests", "front-door requests handled, by message type"
         )
@@ -315,103 +287,20 @@ class FrontDoorRouter:
         ).labels()
         self._t_epoch.set(float(membership.epoch))
 
-    # -- addressing ---------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        return self.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
-
     def _next_rid(self) -> int:
         self._rid_next += 1
         return self._rid_base | (self._rid_next & 0xFFFFFFFF)
 
-    # -- lifecycle ----------------------------------------------------------------
-    def serve_forever(self) -> None:
-        """Run the event loop until :meth:`shutdown` (blocking call)."""
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        self._stopped.clear()
-        try:
-            loop.run_until_complete(self._main())
-        finally:
-            self._loop = None
-            with contextlib.suppress(Exception):
-                loop.close()
-            self._stopped.set()
-
-    async def _main(self) -> None:
-        self._stop_event = asyncio.Event()
-        if self._stop_requested:
-            self._stop_event.set()
-        server = await asyncio.start_server(
-            self._handle_conn, sock=self._listen_sock
-        )
-        self._aio_server = server
-        try:
-            await self._stop_event.wait()
-        finally:
-            self._aio_server = None
-            server.close()
-            pending = [t for t in self._conn_tasks if not t.done()]
-            for task in pending:
-                task.cancel()
-            await asyncio.gather(*pending, return_exceptions=True)
-            with contextlib.suppress(Exception):
-                await server.wait_closed()
-            self._executor.shutdown(wait=False, cancel_futures=True)
-
     def shutdown(self) -> None:
-        self._stop_requested = True
         self.health.stop()
-        loop = self._loop
-        if loop is not None:
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(self._request_stop)
-            self._stopped.wait(timeout=10.0)
-
-    def _request_stop(self) -> None:
-        if hasattr(self, "_stop_event"):
-            self._stop_event.set()
-
-    def server_close(self) -> None:
-        with contextlib.suppress(OSError):
-            if self._listen_sock.fileno() != -1:
-                self._listen_sock.close()
+        super().shutdown()
 
     # -- connection pump ----------------------------------------------------------
-    async def _read_frame(self, reader: asyncio.StreamReader) -> Optional[Frame]:
-        try:
-            header = await reader.readexactly(FRAME_HEADER_SIZE)
-            msg_type, request_id, length = decode_header(header)
-            payload = await reader.readexactly(length) if length else b""
-        except (asyncio.IncompleteReadError, ConnectionError, OSError, FrameError):
-            return None
-        return Frame(msg_type, request_id, payload)
-
-    async def _write_frame(
-        self, writer: asyncio.StreamWriter, wlock: asyncio.Lock, frame: Frame
-    ) -> bool:
-        try:
-            async with wlock:
-                writer.write(frame.encode())
-                await writer.drain()
-        except (ConnectionError, OSError):
-            return False
-        return True
-
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._t_connections.inc()
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
+        self._track(asyncio.current_task())
         wlock = asyncio.Lock()
         conn = _Connection()
         pending: set = set()
@@ -436,7 +325,6 @@ class FrontDoorRouter:
                     await downstream.close()
             with contextlib.suppress(Exception):
                 writer.close()
-            self._conn_tasks.discard(task)
 
     async def _dispatch(
         self,
@@ -563,14 +451,11 @@ class FrontDoorRouter:
             name: self.membership.address(name)
             for name in self.membership.live_names()
         }
-        loop = asyncio.get_running_loop()
         retry = RetryPolicy(
             max_attempts=2, timeout=self.proxy_timeout,
             connect_timeout=self.connect_timeout,
         )
-        inventories = await loop.run_in_executor(
-            self._executor, collect_inventories, live, retry
-        )
+        inventories = await self._in_executor(collect_inventories, live, retry)
         plan = self.planner.current(ring, inventories, epoch)
         planned = sum(1 for s in plan["steps"] if not s["done"])
         self._t_rebalance.labels(state="planned").inc(planned)

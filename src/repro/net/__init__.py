@@ -10,14 +10,19 @@ boundaries real.  It provides, bottom up:
   preliminary-filter queries, chunk appends into the chunk log, metadata
   put/get, the dedup-2 trigger, PSIL/PSIU fingerprint exchange and
   LPC-backed chunk reads (DESIGN.md §9.2).
+- :mod:`repro.net.aioserver` — the asyncio frame-server skeleton (bind,
+  lifecycle, task tracking, frame I/O) under both daemons, ``repro
+  serve`` and ``repro route``.
 - :mod:`repro.net.server` — ``repro serve``: an async multiplexed event
   loop hosting a :class:`~repro.system.vault.DebarVault` behind the
   protocol, with admission control and per-tenant auth/quotas
-  (DESIGN.md §12; a legacy threaded core remains as the benchmark
-  baseline).
+  (DESIGN.md §12).
 - :mod:`repro.net.client` — :class:`RemoteBackupClient` and
   :class:`RemoteChunkReader`, mirroring the in-process vault API so the
   CLI runs against ``--connect host:port`` unchanged.
+- :mod:`repro.net.shipper` — :class:`~repro.net.shipper.AsyncShipper`,
+  the one engine that ships work to peers after dedup-2 (replication
+  and archive are policies over it; DESIGN.md §11.2, §15.4).
 - :mod:`repro.net.faults` — deterministic frame-level fault injection
   (drop / truncate / duplicate), the network face of
   :mod:`repro.audit.faults`.
@@ -45,7 +50,6 @@ from repro.net.framing import (
 )
 from repro.net.server import (
     TenantConfig,
-    ThreadedVaultProtocolServer,
     VaultProtocolServer,
     serve_vault,
 )
@@ -64,7 +68,6 @@ __all__ = [
     "RemoteChunkReader",
     "RetryPolicy",
     "TenantConfig",
-    "ThreadedVaultProtocolServer",
     "TruncatedFrame",
     "VaultProtocolServer",
     "serve_vault",

@@ -1,23 +1,19 @@
 """``repro serve`` — the vault behind the wire protocol (DESIGN.md §9, §12).
 
-Two serving cores share one request brain:
+:class:`VaultProtocolServer` is a **single-process asyncio event loop** on
+the :class:`~repro.net.aioserver.AsyncFrameServer` skeleton (bind,
+lifecycle, task tracking, frame I/O — shared with the front-door router).
+Each connection is a lightweight *frame pump* coroutine; every decoded
+frame becomes an independent in-flight request, so one socket can carry
+many request ids concurrently (connection multiplexing).  The blocking
+vault pipeline still runs on a small worker-thread executor behind the
+one vault lock — ``repro.system`` is untouched — but the loop keeps
+accepting, parsing and answering frames for hundreds of other streams
+while it grinds.
 
-- :class:`VaultProtocolServer` (the default) is a **single-process
-  asyncio event loop**.  Each connection is a lightweight *frame pump*
-  coroutine; every decoded frame becomes an independent in-flight request,
-  so one socket can carry many request ids concurrently (connection
-  multiplexing).  The blocking vault pipeline still runs on a small
-  worker-thread executor behind the one vault lock — ``repro.system`` is
-  untouched — but the loop keeps accepting, parsing and answering frames
-  for hundreds of other streams while it grinds.
-- :class:`ThreadedVaultProtocolServer` is the previous
-  thread-per-connection core, kept as the measured baseline
-  (``benchmarks/bench_serve_concurrency.py``) and for the
-  async-vs-threaded equivalence sweep in the tests.
-
-Both inherit :class:`VaultServerCore`: the handler table, the session
-store, the idempotency cache, graceful drain, telemetry, and the
-admission-control policy (DESIGN.md §12.2):
+The server owns the handler table, the session store, the idempotency
+cache, graceful drain, telemetry, and the admission-control policy
+(DESIGN.md §12.2):
 
 - **max in-flight requests** — past the cap a frame is answered with an
   immediate ``ERROR {"error": "Busy"}`` shed (never executed, never
@@ -48,12 +44,9 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import socket
-import socketserver
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -61,14 +54,8 @@ from repro.core.preliminary_filter import FilterDecision, PreliminaryFilter
 from repro.director.metadata import FileMetadata
 from repro.net import messages as m
 from repro.durability.errors import MediaError
-from repro.net.framing import (
-    FRAME_HEADER_SIZE,
-    Frame,
-    FrameError,
-    ProtocolError,
-    decode_header,
-    read_frame,
-)
+from repro.net.aioserver import AsyncFrameServer, _error_frame
+from repro.net.framing import Frame, ProtocolError
 from repro.archive.store import ArchiveStore
 from repro.replication.store import ReplicaStore
 from repro.system.vault import DebarVault, VaultError
@@ -178,20 +165,35 @@ class _RemoteSession:
             ]
 
 
-class VaultServerCore:
-    """Everything both serving cores share: sessions, cache, handlers,
-    admission policy, drain accounting and telemetry."""
+class VaultProtocolServer(AsyncFrameServer):
+    """The vault daemon: one event loop, many multiplexed streams.
 
-    def _init_core(
+    The loop thread owns frame parsing, admission, response writes and all
+    in-flight bookkeeping; vault work — the handler table, sessions, the
+    idempotency cache — runs on a bounded worker-thread executor behind
+    :attr:`vault_lock`.  ``shutdown_gracefully()`` is the drain path on
+    top of the skeleton's ``serve_forever()`` / ``shutdown()`` /
+    ``server_close()``.
+    """
+
+    def __init__(
         self,
         vault: DebarVault,
-        registry: Optional[MetricsRegistry],
-        node_name: str,
-        max_inflight: int,
-        max_buffered_bytes: int,
-        session_ttl: float,
-        tenants: Optional[List[TenantConfig]],
+        host: str = "127.0.0.1",
+        port: int = 0,
+        registry: Optional[MetricsRegistry] = None,
+        node_name: str = "node",
+        max_inflight: int = DEFAULT_MAX_INFLIGHT,
+        max_buffered_bytes: int = DEFAULT_MAX_BUFFERED_BYTES,
+        session_ttl: float = DEFAULT_SESSION_TTL,
+        tenants: Optional[List[TenantConfig]] = None,
+        executor_workers: int = 8,
     ) -> None:
+        super().__init__(
+            host, port, workers=executor_workers, worker_name="repro-serve-worker"
+        )
+        #: Per-tenant in-flight requests (loop thread only, no lock needed).
+        self._tenant_inflight: Dict[Optional[str], int] = {}
         self.vault = vault
         self.vault_lock = threading.Lock()
         self.node_name = node_name
@@ -214,9 +216,6 @@ class VaultServerCore:
             container_bytes=vault.container_bytes,
             fs=vault.fs,
         )
-        #: Outbound replicator, attached by the CLI when --replicate-to is
-        #: given; None on a standalone daemon.
-        self.replicator = None
         self._sessions: Dict[int, _RemoteSession] = {}
         self._next_session = 1
         #: Vault-wide buffered session payload bytes (under vault_lock).
@@ -225,8 +224,8 @@ class VaultServerCore:
         self._tenant_buffered: Dict[str, int] = {}
         self._response_cache: "OrderedDict[int, Frame]" = OrderedDict()
         self._cache_lock = threading.Lock()
-        #: The authenticated tenant of the thread currently dispatching
-        #: (handler threads set it before calling into _HANDLERS).
+        #: The authenticated tenant of the executor thread currently
+        #: dispatching (set before calling into _HANDLERS).
         self._local = threading.local()
         # Graceful-drain state: in-flight request count + drain flag.
         self._active_cond = threading.Condition()
@@ -240,8 +239,9 @@ class VaultServerCore:
         self.archive_store = ArchiveStore(
             Path(vault.root) / "archive", registry=registry
         )
-        #: Outbound delta shipper, attached by the CLI when --archive-to
-        #: is given; None on a standalone daemon.
+        #: Outbound shippers, attached by the CLI when --replicate-to /
+        #: --archive-to is given; None on a standalone daemon.
+        self.replicator = None
         self.archive_shipper = None
         #: Retention-evaluating director (repro.director) for the archive
         #: role, attached by the CLI when --archive --retention is given.
@@ -308,32 +308,26 @@ class VaultServerCore:
             self._t_inflight.set(self._active_requests)
             self._active_cond.notify_all()
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def _stop_accepting(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _finalize_shutdown(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
     def shutdown_gracefully(self, timeout: Optional[float] = 30.0) -> bool:
-        """Refuse new work, finish in-flight requests, drain the
-        replication queue, then close.  Returns True on a clean drain,
+        """Refuse new work, finish in-flight requests, drain the attached
+        shippers, then close.  Returns True on a clean drain,
         False when the timeout forced the exit (sockets still close).
 
         The drain flag is raised **before** waiting (a busy persistent
         connection must not keep admitting frames while we wait for the
         in-flight count to reach zero — that drain would only ever end by
-        timeout), and the replicator is drained **after** the in-flight
-        wait (an in-flight commit may seal containers that still owe
-        shipment).
+        timeout), and the shippers are drained **after** the in-flight
+        wait (an in-flight commit may seal containers, and record runs,
+        that still owe shipment).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._active_cond:
             self._draining = True
-        self._stop_accepting()
+        loop = self._loop
+        if loop is not None:
+            # Close the listener; live connections finish what they started.
+            with contextlib.suppress(RuntimeError):
+                loop.call_soon_threadsafe(self._close_listener)
         drained = True
         with self._active_cond:
             while self._active_requests > 0:
@@ -346,23 +340,20 @@ class VaultServerCore:
                 self._active_cond.wait(
                     0.1 if remaining is None else min(0.1, remaining)
                 )
-        if self.replicator is not None:
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            drained = self.replicator.close(drain=True, timeout=remaining) and drained
-        if self.archive_shipper is not None:
-            # Same contract as the replicator: an in-flight commit may have
-            # recorded runs that still owe their deltas to the archive.
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            drained = (
-                self.archive_shipper.close(drain=True, timeout=remaining)
-                and drained
-            )
-        self._finalize_shutdown()
+        for shipper in (self.replicator, self.archive_shipper):
+            if shipper is not None:
+                remaining = (
+                    None if deadline is None
+                    else max(0.0, deadline - time.monotonic())
+                )
+                drained = shipper.close(drain=True, timeout=remaining) and drained
+        self.shutdown()
+        self.server_close()
         return drained
+
+    def _close_listener(self) -> None:
+        if self._aio_server is not None:
+            self._aio_server.close()
 
     # -- idempotency cache --------------------------------------------------------
     def cached_response(self, request_id: int) -> Optional[Frame]:
@@ -407,8 +398,8 @@ class VaultServerCore:
     def expire_idle_sessions(self, now: Optional[float] = None) -> int:
         """Reclaim sessions idle past the TTL; returns how many died.
 
-        Called periodically by the async core's sweeper task; callable
-        directly (with a forced ``now``) from tests and the threaded core.
+        Called periodically by the sweeper task; callable directly (with a
+        forced ``now``) from tests.
         """
         if self.session_ttl is None or self.session_ttl <= 0:
             return 0
@@ -452,16 +443,10 @@ class VaultServerCore:
         except BusyError as exc:
             # Admission shed: immediate, retryable, never cached.
             self._t_busy.inc()
-            return Frame(m.ERROR, frame.request_id, m.encode_json({
-                "error": "Busy",
-                "message": str(exc),
-            }))
+            return _error_frame(frame.request_id, "Busy", str(exc))
         except (VaultError, MediaError, KeyError, ValueError, OSError) as exc:
             # Application-level failure: report it, keep the connection.
-            return Frame(m.ERROR, frame.request_id, m.encode_json({
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }))
+            return _error_frame(frame.request_id, type(exc).__name__, str(exc))
         finally:
             self._t_latency.labels(type=m.msg_name(frame.msg_type)).observe(
                 wall_now() - t0
@@ -890,190 +875,11 @@ class VaultServerCore:
         sender, parts, _ = m.decode_exchange(payload)
         return m.EXCHANGE_OK, m.encode_json({"sender": sender, "parts": len(parts)})
 
-
-_HANDLERS: Dict[int, Callable[[VaultServerCore, bytes], Tuple[int, bytes]]] = {
-    m.HELLO: VaultServerCore._on_hello,
-    m.PING: VaultServerCore._on_ping,
-    m.SESSION_BEGIN: VaultServerCore._on_session_begin,
-    m.FILTER_QUERY: VaultServerCore._on_filter_query,
-    m.CHUNK_APPEND: VaultServerCore._on_chunk_append,
-    m.META_PUT: VaultServerCore._on_meta_put,
-    m.SESSION_COMMIT: VaultServerCore._on_session_commit,
-    m.SESSION_ABORT: VaultServerCore._on_session_abort,
-    m.DEDUP2: VaultServerCore._on_dedup2,
-    m.CHUNK_READ: VaultServerCore._on_chunk_read,
-    m.META_GET: VaultServerCore._on_meta_get,
-    m.RUNS: VaultServerCore._on_runs,
-    m.STATS: VaultServerCore._on_stats,
-    m.GC: VaultServerCore._on_gc,
-    m.VERIFY: VaultServerCore._on_verify,
-    m.FORGET: VaultServerCore._on_forget,
-    m.EXCHANGE: VaultServerCore._on_exchange,
-    m.CONTAINER_PUSH: VaultServerCore._on_container_push,
-    m.CATALOG_PUSH: VaultServerCore._on_catalog_push,
-    m.REPL_STATUS: VaultServerCore._on_repl_status,
-    m.CONTAINER_FETCH: VaultServerCore._on_container_fetch,
-    m.CATALOG_FETCH: VaultServerCore._on_catalog_fetch,
-    m.DELTA_PUSH: VaultServerCore._on_delta_push,
-    m.DELTA_FETCH: VaultServerCore._on_delta_fetch,
-    m.ARCHIVE_STATUS: VaultServerCore._on_archive_status,
-    m.ARCHIVE_MERGE: VaultServerCore._on_archive_merge,
-}
-
-
-def _error_frame(request_id: int, error: str, message: str) -> Frame:
-    return Frame(m.ERROR, request_id, m.encode_json({
-        "error": error,
-        "message": message,
-    }))
-
-
-class VaultProtocolServer(VaultServerCore):
-    """The async serving core: one event loop, many multiplexed streams.
-
-    The loop thread owns frame parsing, admission, response writes and all
-    in-flight bookkeeping; vault work runs on a bounded worker-thread
-    executor behind :attr:`vault_lock`.  The public surface matches the
-    old ``ThreadingTCPServer``: ``serve_forever()`` (blocking; run it in a
-    thread), ``shutdown()``, ``server_close()``, ``server_address`` — plus
-    ``shutdown_gracefully()`` for the drain path.
-    """
-
-    def __init__(
-        self,
-        vault: DebarVault,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        registry: Optional[MetricsRegistry] = None,
-        node_name: str = "node",
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        max_buffered_bytes: int = DEFAULT_MAX_BUFFERED_BYTES,
-        session_ttl: float = DEFAULT_SESSION_TTL,
-        tenants: Optional[List[TenantConfig]] = None,
-        executor_workers: int = 8,
-    ) -> None:
-        self._init_core(
-            vault, registry, node_name, max_inflight, max_buffered_bytes,
-            session_ttl, tenants,
-        )
-        # Bind synchronously so server_address is valid on return and a
-        # bind failure raises OSError from the constructor (exit code 4).
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            sock.bind((host, port))
-            sock.listen(256)
-        except OSError:
-            sock.close()
-            raise
-        self._listen_sock = sock
-        self.server_address = sock.getsockname()
-        self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers, thread_name_prefix="repro-serve-worker"
-        )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._aio_server: Optional[asyncio.base_events.Server] = None
-        self._stop_requested = False
-        self._stopped = threading.Event()
-        self._conn_tasks: set = set()
-        self._request_tasks: set = set()
-        # Loop-thread-only admission counters (no lock needed).
-        self._inflight_total = 0
-        self._tenant_inflight: Dict[Optional[str], int] = {}
-
-    # -- addressing ---------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        return self.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
-
-    # -- lifecycle ----------------------------------------------------------------
-    def serve_forever(self, poll_interval: Optional[float] = None) -> None:
-        """Run the event loop until :meth:`shutdown` (blocking call)."""
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        self._stopped.clear()
-        try:
-            loop.run_until_complete(self._main())
-        finally:
-            self._loop = None
-            with contextlib.suppress(Exception):
-                loop.close()
-            self._stopped.set()
-
-    async def _main(self) -> None:
-        self._stop_event = asyncio.Event()
-        if self._stop_requested:
-            self._stop_event.set()
-        server = await asyncio.start_server(
-            self._handle_conn, sock=self._listen_sock
-        )
-        self._aio_server = server
-        sweeper = asyncio.ensure_future(self._session_sweeper())
-        try:
-            await self._stop_event.wait()
-        finally:
-            self._aio_server = None
-            sweeper.cancel()
-            server.close()
-            pending = [
-                t
-                for t in (self._conn_tasks | self._request_tasks)
-                if not t.done()
-            ]
-            for task in pending:
-                task.cancel()
-            await asyncio.gather(sweeper, *pending, return_exceptions=True)
-            with contextlib.suppress(Exception):
-                await server.wait_closed()
-            # Abandon wedged vault work rather than hanging the exit; a
-            # clean drain reaches here with nothing running.
-            self._executor.shutdown(wait=False, cancel_futures=True)
-
-    def shutdown(self) -> None:
-        """Stop the event loop (threadsafe); waits for serve_forever to
-        return, mirroring ``socketserver.BaseServer.shutdown``."""
-        self._stop_requested = True
-        loop = self._loop
-        if loop is not None:
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(self._request_stop)
-            self._stopped.wait(timeout=10.0)
-
-    def _request_stop(self) -> None:
-        if hasattr(self, "_stop_event"):
-            self._stop_event.set()
-
-    def server_close(self) -> None:
-        with contextlib.suppress(OSError):
-            if self._listen_sock.fileno() != -1:
-                self._listen_sock.close()
-
-    # -- graceful-drain hooks -----------------------------------------------------
-    def _stop_accepting(self) -> None:
-        loop = self._loop
-        if loop is None:
-            return
-
-        def _close_listener() -> None:
-            if self._aio_server is not None:
-                self._aio_server.close()
-
-        with contextlib.suppress(RuntimeError):
-            loop.call_soon_threadsafe(_close_listener)
-
-    def _finalize_shutdown(self) -> None:
-        self.shutdown()
-        self.server_close()
-
     # -- the event loop core ------------------------------------------------------
+    async def _main(self) -> None:
+        self._track(asyncio.ensure_future(self._session_sweeper()))
+        await super()._main()
+
     async def _session_sweeper(self) -> None:
         if self.session_ttl is None or self.session_ttl <= 0:
             return
@@ -1083,71 +889,17 @@ class VaultProtocolServer(VaultServerCore):
             # The sweep takes the vault lock; keep it off the loop thread.
             await self._in_executor(self.expire_idle_sessions)
 
-    def _in_executor(self, fn: Callable, *args) -> "asyncio.Future":
-        """Run ``fn`` on the worker executor, completing an asyncio future.
+    def _count_received(self, nbytes: int) -> None:
+        self._t_bytes_in.inc(nbytes)
 
-        Unlike ``loop.run_in_executor`` this tolerates the loop closing
-        underneath a wedged job (forced shutdown): the completion callback
-        is simply dropped instead of raising in the worker thread.
-        """
-        loop = self._loop
-        aio_future = loop.create_future()
-        cf = self._executor.submit(fn, *args)
-
-        def _complete() -> None:
-            if aio_future.cancelled():
-                return
-            exc = cf.exception()
-            if exc is not None:
-                aio_future.set_exception(exc)
-            else:
-                aio_future.set_result(cf.result())
-
-        def _relay(_cf) -> None:
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(_complete)
-
-        cf.add_done_callback(_relay)
-        return aio_future
-
-    async def _write_frame(
-        self, writer: asyncio.StreamWriter, wlock: asyncio.Lock, response: Frame
-    ) -> bool:
-        blob = response.encode()
-        try:
-            async with wlock:
-                writer.write(blob)
-                await writer.drain()
-        except (ConnectionError, OSError):
-            return False
-        self._t_bytes_out.inc(len(blob))
-        return True
-
-    async def _read_frame(self, reader: asyncio.StreamReader) -> Optional[Frame]:
-        try:
-            header = await reader.readexactly(FRAME_HEADER_SIZE)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            return None
-        self._t_bytes_in.inc(len(header))
-        try:
-            msg_type, request_id, length = decode_header(header)
-        except FrameError:
-            return None  # desynchronized stream: drop the connection
-        payload = b""
-        if length:
-            try:
-                payload = await reader.readexactly(length)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                return None
-            self._t_bytes_in.inc(length)
-        return Frame(msg_type, request_id, payload)
+    def _count_sent(self, nbytes: int) -> None:
+        self._t_bytes_out.inc(nbytes)
 
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._t_connections.inc()
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
+        self._track(asyncio.current_task())
         wlock = asyncio.Lock()
         tenant: Optional[str] = None
         authed = not self.tenants
@@ -1183,8 +935,10 @@ class VaultProtocolServer(VaultServerCore):
                 # HELLO is exempt — shedding the handshake would refuse the
                 # connection outright (clients can't tell Busy from an auth
                 # failure mid-connect), and it costs one cheap echo.
+                # (_active_requests only changes on this thread, so the
+                # unlocked read is exact.)
                 if frame.msg_type != m.HELLO and (
-                    self._inflight_total >= self.max_inflight
+                    self._active_requests >= self.max_inflight
                     or self._tenant_inflight.get(tenant, 0)
                     >= self.tenant_max_inflight
                 ):
@@ -1193,24 +947,21 @@ class VaultProtocolServer(VaultServerCore):
                         writer, wlock,
                         _error_frame(
                             frame.request_id, "Busy",
-                            f"{self._inflight_total} requests in flight "
+                            f"{self._active_requests} requests in flight "
                             f"(cap {self.max_inflight})",
                         ),
                     )
                     continue
                 if not self.begin_request():
                     break
-                self._inflight_total += 1
                 self._tenant_inflight[tenant] = (
                     self._tenant_inflight.get(tenant, 0) + 1
                 )
-                job = asyncio.ensure_future(
+                job = self._track(asyncio.ensure_future(
                     self._process(frame, tenant, writer, wlock)
-                )
+                ))
                 pending.add(job)
-                self._request_tasks.add(job)
                 job.add_done_callback(pending.discard)
-                job.add_done_callback(self._request_tasks.discard)
         except asyncio.CancelledError:
             pass  # forced stop: fall through to cleanup
         finally:
@@ -1221,7 +972,6 @@ class VaultProtocolServer(VaultServerCore):
                     await asyncio.gather(*pending, return_exceptions=True)
             with contextlib.suppress(Exception):
                 writer.close()
-            self._conn_tasks.discard(task)
 
     async def _process(
         self,
@@ -1249,7 +999,6 @@ class VaultProtocolServer(VaultServerCore):
                 with contextlib.suppress(Exception):
                     writer.close()
         finally:
-            self._inflight_total -= 1
             count = self._tenant_inflight.get(tenant, 1) - 1
             if count <= 0:
                 self._tenant_inflight.pop(tenant, None)
@@ -1258,121 +1007,34 @@ class VaultProtocolServer(VaultServerCore):
             self.end_request()
 
 
-class ThreadedVaultProtocolServer(VaultServerCore, socketserver.ThreadingTCPServer):
-    """The legacy thread-per-connection core (benchmark baseline).
-
-    Kept so the async rewrite has a measured comparison point and an
-    equivalence sweep; new deployments use :class:`VaultProtocolServer`.
-    """
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(
-        self,
-        vault: DebarVault,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        registry: Optional[MetricsRegistry] = None,
-        node_name: str = "node",
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        max_buffered_bytes: int = DEFAULT_MAX_BUFFERED_BYTES,
-        session_ttl: float = DEFAULT_SESSION_TTL,
-        tenants: Optional[List[TenantConfig]] = None,
-    ) -> None:
-        self._init_core(
-            vault, registry, node_name, max_inflight, max_buffered_bytes,
-            session_ttl, tenants,
-        )
-        socketserver.ThreadingTCPServer.__init__(
-            self, (host, port), _ThreadedConnectionHandler
-        )
-
-    @property
-    def host(self) -> str:
-        return self.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
-
-    def _stop_accepting(self) -> None:
-        self.shutdown()  # stop the accept loop; live connections continue
-
-    def _finalize_shutdown(self) -> None:
-        self.server_close()
-
-
-class _ThreadedConnectionHandler(socketserver.BaseRequestHandler):
-    """One connection: read frames, dispatch, write responses."""
-
-    server: ThreadedVaultProtocolServer
-
-    def handle(self) -> None:
-        sock: socket.socket = self.request
-        srv = self.server
-        srv._t_connections.inc()
-        tenant: Optional[str] = None
-        authed = not srv.tenants
-
-        def counted_recv(n: int) -> bytes:
-            block = sock.recv(n)
-            srv._t_bytes_in.inc(len(block))
-            return block
-
-        while True:
-            try:
-                frame = read_frame(counted_recv)
-            except FrameError:
-                # Closed, truncated or desynchronized stream: drop the
-                # connection; the client's retry layer reconnects.
-                return
-            except OSError:
-                return
-            if frame.msg_type == m.HELLO and srv.tenants:
-                try:
-                    tenant = srv.authenticate(m.decode_json(frame.payload))
-                    authed = True
-                except (AuthError, m.MessageError) as exc:
-                    self._send(sock, _error_frame(
-                        frame.request_id, "AuthError", str(exc)
-                    ))
-                    return
-            elif not authed:
-                srv._t_auth_failures.inc()
-                self._send(sock, _error_frame(
-                    frame.request_id, "AuthError",
-                    "authenticate first (HELLO with client + token)",
-                ))
-                return
-            if not srv.begin_request():
-                return  # draining: refuse post-drain work, drop the line
-            try:
-                response = srv.handle_request_frame(frame, tenant)
-            except ProtocolError as exc:
-                response = _error_frame(
-                    frame.request_id, "ProtocolError", str(exc)
-                )
-                self._send(sock, response)
-                return
-            finally:
-                srv.end_request()
-            srv._t_requests.labels(type=m.msg_name(frame.msg_type)).inc()
-            if not self._send(sock, response):
-                return
-
-    def _send(self, sock: socket.socket, response: Frame) -> bool:
-        blob = response.encode()
-        try:
-            sock.sendall(blob)
-        except OSError:
-            return False
-        self.server._t_bytes_out.inc(len(blob))
-        return True
+_HANDLERS: Dict[int, Callable[[VaultProtocolServer, bytes], Tuple[int, bytes]]] = {
+    m.HELLO: VaultProtocolServer._on_hello,
+    m.PING: VaultProtocolServer._on_ping,
+    m.SESSION_BEGIN: VaultProtocolServer._on_session_begin,
+    m.FILTER_QUERY: VaultProtocolServer._on_filter_query,
+    m.CHUNK_APPEND: VaultProtocolServer._on_chunk_append,
+    m.META_PUT: VaultProtocolServer._on_meta_put,
+    m.SESSION_COMMIT: VaultProtocolServer._on_session_commit,
+    m.SESSION_ABORT: VaultProtocolServer._on_session_abort,
+    m.DEDUP2: VaultProtocolServer._on_dedup2,
+    m.CHUNK_READ: VaultProtocolServer._on_chunk_read,
+    m.META_GET: VaultProtocolServer._on_meta_get,
+    m.RUNS: VaultProtocolServer._on_runs,
+    m.STATS: VaultProtocolServer._on_stats,
+    m.GC: VaultProtocolServer._on_gc,
+    m.VERIFY: VaultProtocolServer._on_verify,
+    m.FORGET: VaultProtocolServer._on_forget,
+    m.EXCHANGE: VaultProtocolServer._on_exchange,
+    m.CONTAINER_PUSH: VaultProtocolServer._on_container_push,
+    m.CATALOG_PUSH: VaultProtocolServer._on_catalog_push,
+    m.REPL_STATUS: VaultProtocolServer._on_repl_status,
+    m.CONTAINER_FETCH: VaultProtocolServer._on_container_fetch,
+    m.CATALOG_FETCH: VaultProtocolServer._on_catalog_fetch,
+    m.DELTA_PUSH: VaultProtocolServer._on_delta_push,
+    m.DELTA_FETCH: VaultProtocolServer._on_delta_fetch,
+    m.ARCHIVE_STATUS: VaultProtocolServer._on_archive_status,
+    m.ARCHIVE_MERGE: VaultProtocolServer._on_archive_merge,
+}
 
 
 def serve_vault(
@@ -1381,20 +1043,17 @@ def serve_vault(
     port: int = 0,
     registry: Optional[MetricsRegistry] = None,
     node_name: str = "node",
-    threaded: bool = False,
     **limits,
-) -> VaultServerCore:
+) -> VaultProtocolServer:
     """Build a protocol server on ``host:port`` (port 0 = ephemeral).
 
     The caller runs ``serve_forever()`` (or a background thread does, in
     tests) and ``shutdown()`` + ``server_close()`` — or
-    ``shutdown_gracefully()`` — when done.  ``threaded=True`` selects the
-    legacy thread-per-connection core (benchmark baseline); ``limits``
-    forwards admission-control knobs (``max_inflight``,
-    ``max_buffered_bytes``, ``session_ttl``, ``tenants``).
+    ``shutdown_gracefully()`` — when done.  ``limits`` forwards
+    admission-control knobs (``max_inflight``, ``max_buffered_bytes``,
+    ``session_ttl``, ``tenants``).
     """
-    cls = ThreadedVaultProtocolServer if threaded else VaultProtocolServer
-    return cls(
+    return VaultProtocolServer(
         vault, host=host, port=port, registry=registry, node_name=node_name,
         **limits,
     )

@@ -1,79 +1,52 @@
 """The asynchronous replicator: sealed containers → replica peers.
 
 One :class:`Replicator` rides beside a :class:`~repro.system.vault.DebarVault`
-(the ``repro serve --replicate-to`` wiring).  After every committed run —
-i.e. strictly *after* dedup-2, so the inline backup path never waits on a
-peer — it diffs the repository against its acked state and enqueues the
-new sealed containers for shipment.  Shipping is fully asynchronous:
+(the ``repro serve --replicate-to`` wiring).  The mechanism — per-peer
+workers, in-flight window, backpressure, backoff, persisted acks — is the
+shared :class:`~repro.net.shipper.AsyncShipper`; this is its container
+*policy*:
 
-* one worker thread and one :class:`~repro.net.client.NetClient` per peer,
-  draining a per-peer FIFO of container IDs;
-* a shared **in-flight window** (semaphore) bounds how many pushes are in
-  the air at once, and a bounded queue provides **backpressure** — an
-  ``enqueue`` past ``max_pending`` blocks the caller rather than growing
-  without bound;
-* container pushes are idempotent end to end: the wire layer retries under
-  the server's response cache, and the replica store treats a re-push of a
-  held container as a no-op ack;
-* the **catalog** (run metadata) is mirrored after a peer's container
-  backlog drains, so a mirrored catalog never references chunks that have
-  not yet arrived at that peer;
-* the *index delta* of a container travels implicitly: images are
-  self-described (Section 3.4), so the replica side can always rebuild
-  the index entries by scanning metadata sections — nothing else to ship.
+* **owed**: every sealed container the
+  :class:`~repro.replication.ring.PlacementRing` assigns to a peer that the
+  peer has not acked (acked IDs persist in ``<vault>/replication.json``);
+* **shipped** as the byte-identical image via ``CONTAINER_PUSH``,
+  idempotent end to end (the wire layer retries under the server's
+  response cache; the replica store acks a re-push of a held container
+  as a no-op).  The *index delta* travels implicitly: images are
+  self-described (Section 3.4), so the replica can always rebuild index
+  entries by scanning metadata sections;
+* the **catalog** (run metadata) is mirrored behind the engine's idle
+  barrier — only when that peer's queue is empty and nothing of its is in
+  flight — so a mirrored catalog never references chunks that have not yet
+  arrived at that peer (DESIGN.md §11.5).
 
-Acked container IDs persist per peer in ``<vault>/replication.json``, so a
-restarted daemon resumes where it left off (a lost state file merely
-causes harmless re-pushes).  Telemetry: ``repl.queue_depth``, ``repl.lag``,
-``repl.containers_shipped``, ``repl.bytes_shipped``, ``repl.catalog_pushes``,
-``repl.push_errors`` (DESIGN.md §11.2).
+Telemetry: ``repl.queue_depth``, ``repl.lag``, ``repl.containers_shipped``,
+``repl.bytes_shipped``, ``repl.catalog_pushes``, ``repl.push_errors``
+(DESIGN.md §11.2).
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import threading
-from collections import deque
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.net import messages as m
-from repro.net.client import NetClient, RemoteError, RetryPolicy
-from repro.net.framing import ProtocolError
+from repro.net.client import NetClient, RetryPolicy
+from repro.net.shipper import AsyncShipper
+from repro.net.shipper import peers_from_state as _peers_from_state
 from repro.replication.ring import PlacementRing
-from repro.telemetry.registry import MetricsRegistry, get_registry
-
-#: State file name inside the vault root.
-STATE_FILE = "replication.json"
-
-#: Default bound on queued (not yet in-flight) shipment tasks.
-MAX_PENDING = 4096
-
-#: Default bound on concurrent in-flight pushes across all peers.
-WINDOW = 4
-
-#: Seconds between retries while a peer stays unreachable (capped backoff).
-_BACKOFF_BASE = 0.2
-_BACKOFF_MAX = 5.0
+from repro.telemetry.registry import MetricsRegistry
 
 
-class _PeerChannel:
-    """One peer's shipment lane: FIFO of container IDs + catalog flag."""
-
-    def __init__(self, name: str, host: str, port: int) -> None:
-        self.name = name
-        self.host = host
-        self.port = port
-        self.queue: Deque[int] = deque()
-        self.queued: Set[int] = set()
-        self.catalog_dirty = False
-        self.in_flight = 0
-        self.errors = 0
-        self.thread: Optional[threading.Thread] = None
-
-
-class Replicator:
+class Replicator(AsyncShipper):
     """Ships a vault's sealed containers to its ring-assigned peers."""
+
+    STATE_FILE = "replication.json"
+    PREFIX = "repl"
+    WINDOW = 4
+    IDLE_FLAG = "catalog_dirty"
 
     def __init__(
         self,
@@ -83,308 +56,55 @@ class Replicator:
         replication_factor: int = 2,
         registry: Optional[MetricsRegistry] = None,
         retry: Optional[RetryPolicy] = None,
-        window: int = WINDOW,
-        max_pending: int = MAX_PENDING,
     ) -> None:
-        if node_name in peers:
-            raise ValueError(f"node {node_name!r} cannot be its own peer")
-        self.vault = vault
-        self.node_name = node_name
         self.ring = PlacementRing(
             [node_name, *peers], replication_factor=replication_factor
         )
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.max_pending = max_pending
-        self._window = threading.Semaphore(max(1, window))
-        self._cond = threading.Condition()
-        self._paused = False
-        self._stopping = False
-        self._channels: Dict[str, _PeerChannel] = {
-            name: _PeerChannel(name, host, port)
-            for name, (host, port) in peers.items()
-        }
-        self._state_path = Path(vault.root) / STATE_FILE
-        self._acked: Dict[str, Set[int]] = {name: set() for name in peers}
-        self._load_state()
-        registry = registry if registry is not None else get_registry()
-        self.registry = registry
-        self._t_depth = registry.gauge(
-            "repl.queue_depth", "replication tasks queued, not yet in flight"
-        ).labels()
-        self._t_lag = registry.gauge(
-            "repl.lag", "container shipments owed to peers (queued + in flight)"
-        ).labels()
-        self._t_shipped = registry.counter(
+        super().__init__(vault, node_name, peers, registry, retry)
+        self._t_shipped = self.registry.counter(
             "repl.containers_shipped", "containers acked by a replica peer"
         )
-        self._t_bytes = registry.counter(
+        self._t_bytes = self.registry.counter(
             "repl.bytes_shipped", "container image bytes acked by a replica peer"
         )
-        self._t_catalogs = registry.counter(
+        self._t_catalogs = self.registry.counter(
             "repl.catalog_pushes", "catalog mirrors acked by a replica peer"
         )
-        self._t_errors = registry.counter(
-            "repl.push_errors", "failed push attempts (retried with backoff)"
-        )
-        for channel in self._channels.values():
-            channel.thread = threading.Thread(
-                target=self._worker,
-                args=(channel,),
-                name=f"repl-{channel.name}",
-                daemon=True,
-            )
-            channel.thread.start()
 
-    # -- persistent state --------------------------------------------------------
-    def _load_state(self) -> None:
-        if not self._state_path.exists():
-            return
-        try:
-            doc = json.loads(self._state_path.read_text())
-        except (ValueError, OSError):
-            return  # harmless: everything re-pushes idempotently
-        for name, cids in doc.get("acked", {}).items():
-            if name in self._acked:
-                self._acked[name].update(int(c) for c in cids)
+    # -- ack state: the set of container IDs a peer holds ---------------------------
+    def _identity(self) -> dict:
+        return {"replication_factor": self.ring.replication_factor}
 
-    def _save_state(self) -> None:
-        doc = {
-            "node": self.node_name,
-            "replication_factor": self.ring.replication_factor,
-            "peers": {
-                name: f"{c.host}:{c.port}" for name, c in self._channels.items()
-            },
-            "acked": {name: sorted(cids) for name, cids in self._acked.items()},
-        }
-        tmp = self._state_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(doc, indent=1))
-        tmp.replace(self._state_path)
+    def _load_acked(self, doc) -> Set[int]:
+        return {int(cid) for cid in doc or ()}
 
-    # -- enqueueing ---------------------------------------------------------------
-    def _pending_total(self) -> int:
-        return sum(len(c.queue) for c in self._channels.values())
+    def _dump_acked(self, acked: Set[int]) -> list:
+        return sorted(acked)
 
-    def _in_flight_total(self) -> int:
-        return sum(c.in_flight for c in self._channels.values())
+    def _acked_status(self, acked: Set[int]) -> int:
+        return len(acked)
 
-    def _publish_gauges(self) -> None:
-        depth = self._pending_total()
-        self._t_depth.set(depth)
-        self._t_lag.set(depth + self._in_flight_total())
+    def _fold_ack(self, acked: Set[int], cid: int) -> None:
+        acked.add(cid)
 
-    def sync(self) -> int:
-        """Diff the repository against acked state; enqueue what's owed.
-
-        Returns the number of container shipments enqueued.  Blocks only
-        when the queue is at ``max_pending`` (backpressure), never on the
-        network.
-        """
-        enqueued = 0
+    # -- what is owed, and how it ships ---------------------------------------------
+    def _owed(self) -> Iterator[Tuple[str, int]]:
         for cid in self.vault.repository.container_ids():
             for peer in self.ring.peers_for_container(self.node_name, cid):
-                channel = self._channels[peer]
-                with self._cond:
-                    if cid in self._acked[peer] or cid in channel.queued:
-                        continue
-                    while (
-                        self._pending_total() >= self.max_pending
-                        and not self._stopping
-                    ):
-                        self._cond.wait(0.05)
-                    if self._stopping:
-                        return enqueued
-                    channel.queue.append(cid)
-                    channel.queued.add(cid)
-                    enqueued += 1
-                    self._publish_gauges()
-                    self._cond.notify_all()
-        return enqueued
+                if cid not in self._acked[peer]:
+                    yield peer, cid
 
     def notify_run(self, run=None) -> None:
-        """Hook for :meth:`DebarVault.backup_stream`: a run just committed
-        (dedup-2 complete, containers sealed, catalog written)."""
-        with self._cond:
-            for channel in self._channels.values():
-                channel.catalog_dirty = True
-            self._cond.notify_all()
-        self.sync()
+        # A committed run (or gc pass) makes every peer's mirrored catalog
+        # stale; the barrier re-mirrors it once the containers have landed.
+        self._mark_idle_due()
+        super().notify_run(run)
 
-    # -- flow control -------------------------------------------------------------
-    def pause(self) -> None:
-        """Stall the queue (tests and benchmarks): nothing ships until
-        :meth:`resume`; enqueueing and lag accounting continue."""
-        with self._cond:
-            self._paused = True
-
-    def resume(self) -> None:
-        with self._cond:
-            self._paused = False
-            self._cond.notify_all()
-
-    def lag(self) -> int:
-        with self._cond:
-            return self._pending_total() + self._in_flight_total()
-
-    def drain(self, timeout: Optional[float] = 30.0) -> bool:
-        """Block until every queued shipment is acked (or timeout)."""
-        import time as _time
-
-        deadline = None if timeout is None else _time.monotonic() + timeout
-        with self._cond:
-            while True:
-                if (
-                    self._pending_total() == 0
-                    and self._in_flight_total() == 0
-                    and not any(
-                        c.catalog_dirty for c in self._channels.values()
-                    )
-                ):
-                    return True
-                if self._stopping:
-                    return False
-                remaining = (
-                    None if deadline is None else deadline - _time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._cond.wait(0.05 if remaining is None else min(0.05, remaining))
-
-    def close(self, drain: bool = True, timeout: Optional[float] = 30.0) -> bool:
-        """Stop the workers; with ``drain`` first wait for the queue."""
-        drained = self.drain(timeout) if drain else False
-        with self._cond:
-            self._stopping = True
-            self._cond.notify_all()
-        for channel in self._channels.values():
-            if channel.thread is not None:
-                channel.thread.join(timeout=5.0)
-        return drained
-
-    # -- status -------------------------------------------------------------------
-    def status(self) -> dict:
-        """JSON-able outbound state (the ``repro repl-status`` body)."""
-        with self._cond:
-            return {
-                "node": self.node_name,
-                "replication_factor": self.ring.replication_factor,
-                "peers": {
-                    name: {
-                        "address": f"{c.host}:{c.port}",
-                        "queued": len(c.queue),
-                        "in_flight": c.in_flight,
-                        "acked": len(self._acked[name]),
-                        "errors": c.errors,
-                        "catalog_dirty": c.catalog_dirty,
-                    }
-                    for name, c in self._channels.items()
-                },
-                "lag": self._pending_total() + self._in_flight_total(),
-            }
-
-    # -- the worker ---------------------------------------------------------------
-    def _next_task(self, channel: _PeerChannel):
-        """Blocks until this peer owes something (or we're stopping).
-
-        Returns ``("container", cid)``, ``("catalog", None)``, or ``None``
-        to exit.  Catalog pushes wait for the container backlog so a
-        mirrored catalog never leads its chunks.
-        """
-        with self._cond:
-            while True:
-                if self._stopping:
-                    return None
-                if not self._paused:
-                    if channel.queue:
-                        cid = channel.queue.popleft()
-                        channel.queued.discard(cid)
-                        channel.in_flight += 1
-                        self._publish_gauges()
-                        return ("container", cid)
-                    if channel.catalog_dirty and channel.in_flight == 0:
-                        channel.catalog_dirty = False
-                        channel.in_flight += 1
-                        return ("catalog", None)
-                self._cond.wait(0.1)
-
-    def _task_done(self, channel: _PeerChannel) -> None:
-        with self._cond:
-            channel.in_flight -= 1
-            self._publish_gauges()
-            self._cond.notify_all()
-
-    def _requeue(self, channel: _PeerChannel, kind: str, cid: Optional[int]) -> None:
-        with self._cond:
-            if kind == "container" and cid is not None and cid not in channel.queued:
-                channel.queue.append(cid)
-                channel.queued.add(cid)
-            elif kind == "catalog":
-                channel.catalog_dirty = True
-            channel.in_flight -= 1
-            channel.errors += 1
-            self._publish_gauges()
-            self._cond.notify_all()
-
-    def _worker(self, channel: _PeerChannel) -> None:
-        client = NetClient(
-            channel.host,
-            channel.port,
-            client_name=f"repl:{self.node_name}",
-            retry=self.retry,
-            registry=self.registry,
-        )
-        backoff = _BACKOFF_BASE
-        try:
-            while True:
-                task = self._next_task(channel)
-                if task is None:
-                    return
-                kind, cid = task
-                self._window.acquire()
-                try:
-                    if kind == "container":
-                        self._push_container(client, channel, cid)
-                    else:
-                        self._push_catalog(client, channel)
-                    backoff = _BACKOFF_BASE
-                except RemoteError as exc:
-                    # The peer executed and refused (corrupt image, bad
-                    # envelope): retrying identical bytes cannot succeed.
-                    self._t_errors.labels(peer=channel.name).inc()
-                    with self._cond:
-                        channel.errors += 1
-                        channel.in_flight -= 1
-                        self._publish_gauges()
-                        self._cond.notify_all()
-                    _ = exc
-                    continue
-                except (ProtocolError, OSError):
-                    # Transport failure after the client's own retries:
-                    # the peer is down.  Requeue and back off.
-                    self._t_errors.labels(peer=channel.name).inc()
-                    self._requeue(channel, kind, cid)
-                    self._sleep_backoff(backoff)
-                    backoff = min(backoff * 2, _BACKOFF_MAX)
-                    continue
-                finally:
-                    self._window.release()
-                self._task_done(channel)
-        finally:
-            client.close()
-
-    def _sleep_backoff(self, seconds: float) -> None:
-        with self._cond:
-            if not self._stopping:
-                self._cond.wait(seconds)
-
-    def _push_container(
-        self, client: NetClient, channel: _PeerChannel, cid: int
-    ) -> None:
+    def _push(self, client: NetClient, peer: str, cid: int) -> None:
         repo = self.vault.repository
         if cid not in repo:
             # Sealed then garbage-collected before shipping: nothing owed.
-            with self._cond:
-                self._acked[channel.name].add(cid)
-                self._save_state()
+            self._ack(peer, cid)
             return
         # Tier-agnostic: a container the lifecycle manager already moved
         # cold still ships its byte-identical image to the replica.
@@ -395,13 +115,11 @@ class Replicator:
             "bytes": len(image),
         }
         client.call(m.CONTAINER_PUSH, m.encode_container_image(envelope, image))
-        self._t_shipped.labels(peer=channel.name).inc()
-        self._t_bytes.labels(peer=channel.name).inc(len(image))
-        with self._cond:
-            self._acked[channel.name].add(cid)
-            self._save_state()
+        self._t_shipped.labels(peer=peer).inc()
+        self._t_bytes.labels(peer=peer).inc(len(image))
+        self._ack(peer, cid)
 
-    def _push_catalog(self, client: NetClient, channel: _PeerChannel) -> None:
+    def _on_idle(self, client: NetClient, peer: str) -> None:
         catalog_path = Path(self.vault.root) / "catalog.json"
         try:
             catalog = json.loads(self.vault.fs.read_file(catalog_path))
@@ -410,23 +128,8 @@ class Replicator:
         client.call_json(
             m.CATALOG_PUSH, {"origin": self.node_name, "catalog": catalog}
         )
-        self._t_catalogs.labels(peer=channel.name).inc()
+        self._t_catalogs.labels(peer=peer).inc()
 
 
-def peers_from_state(vault_root) -> Dict[str, Tuple[str, int]]:
-    """The peer map a vault last replicated to (``replication.json``), for
-    consumers that want replicas without re-specifying them — e.g.
-    ``repro scrub --repair`` healing from any replica automatically."""
-    path = Path(vault_root) / STATE_FILE
-    if not path.exists():
-        return {}
-    try:
-        doc = json.loads(path.read_text())
-    except (ValueError, OSError):
-        return {}
-    peers: Dict[str, Tuple[str, int]] = {}
-    for name, address in doc.get("peers", {}).items():
-        host, sep, port = str(address).rpartition(":")
-        if sep and port.isdigit():
-            peers[name] = (host or "127.0.0.1", int(port))
-    return peers
+#: The peer map a vault last replicated to (``replication.json``).
+peers_from_state = functools.partial(_peers_from_state, state_file=Replicator.STATE_FILE)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.repository import ChunkRepository
@@ -33,7 +33,6 @@ from repro.durability.errors import CorruptionError, TornWriteError
 from repro.durability.framing import (
     KIND_CONTAINER,
     Superblock,
-    has_superblock,
     superblock_size,
     unpack_superblock,
 )
@@ -41,12 +40,6 @@ from repro.telemetry.registry import MetricsRegistry, get_registry
 
 #: Default container size (the paper's 8 MB).
 CONTAINER_SIZE = 8 * 1024 * 1024
-
-#: Legacy (pre-durability) per-chunk record: fingerprint, size, offset.
-_META_RECORD = struct.Struct(f"<{FINGERPRINT_SIZE}sII")
-
-#: Legacy metadata section header: chunk count.
-_META_HEADER = struct.Struct("<I")
 
 #: Framed per-chunk record: fingerprint, size, offset, payload CRC32C.
 _FRAMED_RECORD = struct.Struct(f"<{FINGERPRINT_SIZE}sIII")
@@ -75,8 +68,8 @@ class ChunkRecord:
 
     ``crc`` is the CRC32C of the chunk payload, present once the container
     has been through the framed on-disk format (``None`` for records that
-    were never serialized or came from a legacy image); it never takes
-    part in equality so sealed and reloaded containers still compare.
+    were never serialized); it never takes part in equality so sealed and
+    reloaded containers still compare.
     """
 
     fingerprint: Fingerprint
@@ -117,8 +110,9 @@ def verify_records(
     offset — a slice of an in-memory image, a :class:`SegmentBuffer` over
     a few coalesced range GETs, or a raw backend ``get_range``.  This is
     what lets deep verify of a *cold* container check exactly the suspect
-    records instead of downloading the whole image.  Framed records verify
-    via CRC32C; legacy records (no CRC) re-hash against the fingerprint.
+    records instead of downloading the whole image.  Serialized records
+    verify via CRC32C; a record that never went through the on-disk format
+    (no CRC yet) re-hashes against its fingerprint.
     """
     faults: List[PayloadFault] = []
     for rec in records:
@@ -137,7 +131,7 @@ def verify_records(
                 )
         elif hashlib.sha1(chunk).digest() != rec.fingerprint:
             faults.append(
-                PayloadFault(rec.fingerprint, where, "payload digest mismatch (legacy)")
+                PayloadFault(rec.fingerprint, where, "payload digest mismatch")
             )
     return faults
 
@@ -153,7 +147,6 @@ class Container:
     records: List[ChunkRecord]
     data: Optional[bytes] = None
     capacity: int = CONTAINER_SIZE
-    legacy: bool = field(default=False, compare=False)
     _by_fp: Dict[Fingerprint, ChunkRecord] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -173,8 +166,6 @@ class Container:
     @property
     def metadata_bytes(self) -> int:
         """On-disk size of the metadata section (superblock + record array)."""
-        if self.legacy:
-            return _META_HEADER.size + len(self.records) * _META_RECORD.size
         return FRAMED_META_FIXED + len(self.records) * _FRAMED_RECORD.size
 
     @property
@@ -232,111 +223,67 @@ class Container:
 
     @classmethod
     def deserialize(cls, container_id: int, blob: bytes, capacity: int = CONTAINER_SIZE) -> "Container":
-        """Parse a serialized container image (framed or legacy).
+        """Parse a serialized container image.
 
-        Framed images get their superblock and metadata section verified
-        here (cheap — a few bytes per record); payload CRCs are checked
-        lazily by scrub/audit via :meth:`verify_payloads`.
+        The superblock and metadata section are verified here (cheap — a
+        few bytes per record); payload CRCs are checked lazily by
+        scrub/audit via :meth:`verify_payloads`.  An image that does not
+        start with a superblock is corrupt (:class:`CorruptionError`).
         """
-        artifact = f"container {container_id}"
-        if has_superblock(blob):
-            sb, off = unpack_superblock(blob, artifact=artifact)
-            if sb.kind != KIND_CONTAINER:
-                raise CorruptionError(
-                    f"{artifact}: superblock kind {sb.kind!r} is not a container",
-                    artifact=artifact, container_id=container_id,
-                )
-            stored_id, count, meta_crc = _SB_PAYLOAD.unpack(sb.payload)
-            if stored_id != container_id:
-                raise CorruptionError(
-                    f"{artifact}: image claims to be container {stored_id}",
-                    artifact=artifact, container_id=container_id,
-                )
-            meta = blob[off : off + count * _FRAMED_RECORD.size]
-            if len(meta) < count * _FRAMED_RECORD.size:
-                raise TornWriteError(
-                    f"{artifact}: metadata section cut short",
-                    artifact=artifact, container_id=container_id, offset=off,
-                )
-            if crc32c(meta) != meta_crc:
-                raise CorruptionError(
-                    f"{artifact}: metadata section CRC mismatch",
-                    artifact=artifact, container_id=container_id, offset=off,
-                )
-            records = [
-                ChunkRecord(*_FRAMED_RECORD.unpack_from(meta, i * _FRAMED_RECORD.size))
-                for i in range(count)
-            ]
-            data_start = off + len(meta)
-            legacy = False
-        else:
-            (count,) = _META_HEADER.unpack_from(blob, 0)
-            records = []
-            data_start = _META_HEADER.size
-            for _ in range(count):
-                fp, size, offset = _META_RECORD.unpack_from(blob, data_start)
-                records.append(ChunkRecord(fp, size, offset))
-                data_start += _META_RECORD.size
-            legacy = True
+        try:
+            records, data_start = cls.parse_meta(container_id, blob)
+        except MetaPrefixShort:
+            raise TornWriteError(
+                f"container {container_id}: metadata section cut short",
+                artifact=f"container {container_id}", container_id=container_id,
+                offset=FRAMED_META_FIXED,
+            ) from None
         data_len = max((r.offset + r.size for r in records), default=0)
         data = blob[data_start : data_start + data_len]
-        return cls(container_id, records, data, capacity, legacy=legacy)
+        return cls(container_id, records, data, capacity)
 
     @classmethod
     def parse_meta(
         cls, container_id: int, prefix: bytes
-    ) -> tuple:
-        """Parse ``(records, data_start, legacy)`` from a leading image slice.
+    ) -> Tuple[List[ChunkRecord], int]:
+        """Parse ``(records, data_start)`` from a leading image slice.
 
         The cold tier fetches container metadata with a bounded range read
         instead of the whole image; when the supplied prefix is too short
         for the record array, :class:`MetaPrefixShort` names the exact
-        prefix length a retry needs.  The framed metadata CRC is verified
-        here, same as :meth:`deserialize`.
+        prefix length a retry needs.  The superblock and the metadata CRC
+        are verified here; a prefix without the superblock magic raises
+        :class:`CorruptionError` like any other superblock damage.
         """
         artifact = f"container {container_id}"
         if len(prefix) < FRAMED_META_FIXED:
             raise MetaPrefixShort(FRAMED_META_FIXED)
-        if has_superblock(prefix):
-            sb, off = unpack_superblock(prefix, artifact=artifact)
-            if sb.kind != KIND_CONTAINER:
-                raise CorruptionError(
-                    f"{artifact}: superblock kind {sb.kind!r} is not a container",
-                    artifact=artifact, container_id=container_id,
-                )
-            stored_id, count, meta_crc = _SB_PAYLOAD.unpack(sb.payload)
-            if stored_id != container_id:
-                raise CorruptionError(
-                    f"{artifact}: image claims to be container {stored_id}",
-                    artifact=artifact, container_id=container_id,
-                )
-            needed = off + count * _FRAMED_RECORD.size
-            if len(prefix) < needed:
-                raise MetaPrefixShort(needed)
-            meta = prefix[off:needed]
-            if crc32c(meta) != meta_crc:
-                raise CorruptionError(
-                    f"{artifact}: metadata section CRC mismatch",
-                    artifact=artifact, container_id=container_id, offset=off,
-                )
-            records = [
-                ChunkRecord(*_FRAMED_RECORD.unpack_from(meta, i * _FRAMED_RECORD.size))
-                for i in range(count)
-            ]
-            return records, needed, False
-        if len(prefix) < _META_HEADER.size:
-            raise MetaPrefixShort(_META_HEADER.size)
-        (count,) = _META_HEADER.unpack_from(prefix, 0)
-        needed = _META_HEADER.size + count * _META_RECORD.size
+        sb, off = unpack_superblock(prefix, artifact=artifact)
+        if sb.kind != KIND_CONTAINER:
+            raise CorruptionError(
+                f"{artifact}: superblock kind {sb.kind!r} is not a container",
+                artifact=artifact, container_id=container_id,
+            )
+        stored_id, count, meta_crc = _SB_PAYLOAD.unpack(sb.payload)
+        if stored_id != container_id:
+            raise CorruptionError(
+                f"{artifact}: image claims to be container {stored_id}",
+                artifact=artifact, container_id=container_id,
+            )
+        needed = off + count * _FRAMED_RECORD.size
         if len(prefix) < needed:
             raise MetaPrefixShort(needed)
-        records = []
-        at = _META_HEADER.size
-        for _ in range(count):
-            fp, size, offset = _META_RECORD.unpack_from(prefix, at)
-            records.append(ChunkRecord(fp, size, offset))
-            at += _META_RECORD.size
-        return records, needed, True
+        meta = prefix[off:needed]
+        if crc32c(meta) != meta_crc:
+            raise CorruptionError(
+                f"{artifact}: metadata section CRC mismatch",
+                artifact=artifact, container_id=container_id, offset=off,
+            )
+        records = [
+            ChunkRecord(*_FRAMED_RECORD.unpack_from(meta, i * _FRAMED_RECORD.size))
+            for i in range(count)
+        ]
+        return records, needed
 
     def verify_payloads(
         self, records: Optional[List[ChunkRecord]] = None

@@ -128,8 +128,8 @@ class TieredChunkRepository(FileChunkRepository):
     # -- cold metadata --------------------------------------------------------
     def fetch_meta(
         self, container_id: int
-    ) -> Tuple[List[ChunkRecord], int, bool]:
-        """``(records, data_start, legacy)`` for a container on either tier.
+    ) -> Tuple[List[ChunkRecord], int]:
+        """``(records, data_start)`` for a container on either tier.
 
         Hot containers parse from the (cached) file image; cold containers
         from a bounded prefix GET through the metadata cache — at most two
@@ -137,7 +137,7 @@ class TieredChunkRepository(FileChunkRepository):
         """
         if self._hot(container_id) or container_id in self._cache:
             c = self.fetch(container_id)
-            return list(c.records), c.data_start, c.legacy
+            return list(c.records), c.data_start
         meta = self.meta_cache.get(container_id)
         if meta is not None:
             return meta
@@ -149,7 +149,7 @@ class TieredChunkRepository(FileChunkRepository):
 
     def _parse_cold_meta(
         self, container_id: int
-    ) -> Tuple[List[ChunkRecord], int, bool]:
+    ) -> Tuple[List[ChunkRecord], int]:
         """Parse a cold object's metadata section from ranged reads,
         bypassing the hot file and every cache — the read that proves the
         *object* is intact."""
@@ -248,7 +248,7 @@ class TieredChunkRepository(FileChunkRepository):
             return super().fetch(container_id)
         if self.cold is None or container_id not in self._cold_ids:
             raise KeyError(f"container {container_id} not in repository")
-        records, data_start, legacy = self.fetch_meta(container_id)
+        records, data_start = self.fetch_meta(container_id)
         data_len = max((r.offset + r.size for r in records), default=0)
         data = (
             self.cold.get_range(self.cold_key(container_id), data_start, data_len)
@@ -260,9 +260,7 @@ class TieredChunkRepository(FileChunkRepository):
                 artifact="container", container_id=container_id,
                 offset=data_start,
             )
-        container = Container(
-            container_id, records, data, self.container_bytes, legacy=legacy
-        )
+        container = Container(container_id, records, data, self.container_bytes)
         self._cache[container_id] = container
         return container
 
@@ -341,7 +339,7 @@ class TieredChunkRepository(FileChunkRepository):
         ``(faults, payload_bytes_read)`` — the same faults
         :meth:`Container.verify_payloads` would report on the full image.
         """
-        records, data_start, _ = self.fetch_meta(container_id)
+        records, data_start = self.fetch_meta(container_id)
         spans = [
             Span(data_start + r.offset, r.size, r) for r in records if r.size
         ]

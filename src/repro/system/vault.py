@@ -178,14 +178,12 @@ class DebarVault:
             "vault.restores", "restore operations completed by this vault"
         ).labels()
         self._save_catalog()
-        #: Outbound replicator (repro.replication), attached by the serve
-        #: CLI when --replicate-to is configured; ``None`` standalone.
-        #: When set, every committed run (and gc pass) notifies it so new
-        #: sealed containers are queued for asynchronous shipment.
+        #: Outbound shippers (repro.replication / repro.archive), attached
+        #: by the serve CLI when --replicate-to / --archive-to is
+        #: configured; ``None`` standalone.  Every committed run notifies
+        #: them, strictly after dedup-2 + catalog commit (a gc pass
+        #: notifies the replicator too: copy-forward containers are new).
         self.replicator: Optional[object] = None
-        #: Outbound archive shipper (repro.archive), attached by the serve
-        #: CLI when --archive-to is configured; ``None`` standalone.  Same
-        #: contract: notified strictly after dedup-2 + catalog commit.
         self.archive_shipper: Optional[object] = None
         #: What the open-time recovery pass found (``None`` when disabled).
         self.recovery_report: Optional[RecoveryReport] = None
@@ -289,7 +287,19 @@ class DebarVault:
         tmp.write_text(json.dumps(self._catalog, indent=1))
         tmp.replace(self.root / _CATALOG)
 
+    def _next_run_id(self) -> int:
+        """Run ids are strictly increasing for the life of the vault — a
+        forgotten run's id is never minted again (DESIGN.md §6): the
+        archive's ``run_id <= tip`` idempotency rule would silently refuse
+        to ship a reused id.  Catalogs written before the counter existed
+        resume above their highest surviving run."""
+        next_id = self._catalog.get("next_run_id")
+        if next_id is None:
+            next_id = max((p["run_id"] for p in self._catalog["runs"]), default=0) + 1
+        return next_id
+
     def _record_run(self, run: VaultRun) -> None:
+        self._catalog["next_run_id"] = run.run_id + 1
         self._catalog["runs"].append(
             {
                 "run_id": run.run_id,
@@ -403,7 +413,7 @@ class DebarVault:
                 self._sync_index_geometry()
                 self._flush_index()
                 run = VaultRun(
-                    run_id=len(self._catalog["runs"]) + 1,
+                    run_id=self._next_run_id(),
                     job=job,
                     timestamp=timestamp,
                     logical_bytes=stats.logical_bytes,
@@ -414,16 +424,13 @@ class DebarVault:
             span.set_io(bytes_in=stats.logical_bytes, bytes_out=stats.transferred_bytes)
             span.annotate(run_id=run.run_id)
         self._t_backups.inc()
-        if self.replicator is not None:
-            # Strictly after dedup-2 + catalog commit: the inline path is
-            # done; shipment of the newly sealed containers is queued
-            # asynchronously (DESIGN.md §11.2).
-            self.replicator.notify_run(run)
-        if self.archive_shipper is not None:
-            # Same timing for the archive: the run's delta is cut and
-            # shipped asynchronously (DESIGN.md §15.4), so the inline
-            # backup cost of archiving stays ~0%.
-            self.archive_shipper.notify_run(run)
+        for shipper in (self.replicator, self.archive_shipper):
+            if shipper is not None:
+                # Strictly after dedup-2 + catalog commit: the inline path
+                # is done; the newly sealed containers (DESIGN.md §11.2)
+                # and the run's delta (§15.4) are only *queued* here and
+                # ship asynchronously, so their inline cost stays ~0%.
+                shipper.notify_run(run)
         return run
 
     def _sync_index_geometry(self) -> None:

@@ -501,6 +501,27 @@ class TestArchiveCluster:
             restore_remote(net, 1, dest)
         assert restored_map(dest) == originals[1]
 
+    def test_forget_then_backup_still_ships(self, archive_cluster, tmp_path):
+        # Run ids used to be len(runs) + 1, so forget + backup re-minted
+        # the tip's id and the archive's ``run_id <= tip`` idempotency
+        # rule silently acked the new run without storing it.
+        vault_a, shipper, server_k, vault_k, registry = archive_cluster
+        originals = self.backup_runs(vault_a, tmp_path, n=3)
+        assert shipper.drain(timeout=10.0)
+        vault_a.forget(1)
+        originals[4] = mutate_dataset(tmp_path, 4)
+        run = vault_a.backup("homes", [str(tmp_path / "data")])
+        assert run.run_id == 4
+        assert shipper.drain(timeout=10.0)
+        assert server_k.archive_store.tip("a", "homes") == 4
+        assert server_k.archive_store.points("a", "homes") == [1, 2, 3, 4]
+        dest = tmp_path / "as-of-4"
+        with NetClient(
+            server_k.host, server_k.port, client_name="dr", retry=FAST_RETRY
+        ) as net:
+            restore_remote(net, 4, dest)
+        assert restored_map(dest) == originals[4]
+
     def test_retention_compacts_at_the_archive(self, archive_cluster, tmp_path):
         vault_a, shipper, server_k, vault_k, registry = archive_cluster
         server_k.archive_director = Director(

@@ -46,6 +46,14 @@ class TestParser:
         args = parser.parse_args(["gc", "--vault", "/v"])
         assert args.rewrite_threshold == 0.5
 
+    def test_serve_threaded_flag_is_gone(self, capsys):
+        # The thread-per-connection core was deleted; its selector is a
+        # usage error, not a silently ignored flag.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--vault", "/v", "--threaded"])
+        assert exc.value.code == 2
+        assert "--threaded" in capsys.readouterr().err
+
     def test_vault_required_for_local_only_commands(self):
         parser = build_parser()
         for cmd in ("audit", "scrub", "recover-index", "serve"):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.durability.errors import CorruptionError, TornWriteError
 from repro.storage import ChunkRepository, Container, ContainerManager, ContainerWriter
 from repro.storage.container import ChunkRecord, default_payload
 from tests.conftest import make_fps
@@ -105,6 +106,28 @@ class TestContainer:
         assert restored.records == container.records
         for fp in fps:
             assert restored.get(fp) == container.get(fp)
+
+    @pytest.mark.parametrize("bit", [0x01, 0x80])
+    def test_image_without_superblock_magic_is_corruption(self, bit):
+        # There is no unframed on-disk format: one flipped bit in the
+        # magic is damage to report, never a different format to parse.
+        container, _ = self._container()
+        blob = bytearray(container.serialize())
+        blob[0] ^= bit
+        with pytest.raises(CorruptionError, match="bad superblock magic"):
+            Container.deserialize(3, bytes(blob), capacity=4096)
+        with pytest.raises(CorruptionError, match="bad superblock magic"):
+            Container.parse_meta(3, bytes(blob[:1024]))
+
+    def test_truncated_image_is_a_torn_write(self):
+        container, _ = self._container()
+        blob = container.serialize()
+        records, data_start = Container.parse_meta(3, blob)
+        assert records == container.records
+        assert data_start == container.data_start
+        for cut in (10, data_start - 1):
+            with pytest.raises(TornWriteError):
+                Container.deserialize(3, blob[:cut], capacity=4096)
 
     def test_serialize_virtual_rejected(self):
         writer = ContainerWriter(capacity=4096, materialize=False)

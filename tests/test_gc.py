@@ -1,5 +1,7 @@
 """Tests for retention (forget) and garbage collection in the vault."""
 
+import json
+
 import pytest
 
 from repro.core.disk_index import DiskIndex
@@ -78,6 +80,45 @@ class TestForget:
         physical = vault.stats()["physical_bytes"]
         vault.forget(run1.run_id)
         assert vault.stats()["physical_bytes"] == physical  # nothing reclaimed yet
+
+    @pytest.mark.parametrize(
+        "forgotten", [[1], [3], [1, 2, 3]], ids=["first", "last", "all"]
+    )
+    def test_run_ids_are_never_reused(self, tmp_path, forgotten):
+        # Run ids used to be len(runs) + 1: backup x3, forget 1, backup
+        # listed runs [2, 3, 3].  They are monotonic for the life of the
+        # vault, across a close/reopen, whichever runs were forgotten.
+        src = tmp_path / "src"
+        FileTreeGenerator(seed=5).generate(
+            src, n_files=2, n_dirs=1, min_size=4 * 1024, max_size=8 * 1024
+        )
+        with DebarVault(tmp_path / "vault") as vault:
+            assert [vault.backup("docs", [src]).run_id for _ in range(3)] == [1, 2, 3]
+            for run_id in forgotten:
+                vault.forget(run_id)
+        with DebarVault(tmp_path / "vault") as vault:
+            assert vault.backup("docs", [src]).run_id == 4
+            assert vault.backup("other", [src]).run_id == 5
+            ids = [r.run_id for r in vault.runs()]
+            assert ids == sorted(set(ids)) and ids[-2:] == [4, 5]
+
+    def test_catalog_without_the_counter_resumes_above_its_runs(self, tmp_path):
+        # next_run_id is an optional catalog key (no version bump): a
+        # catalog written before it existed mints above its highest run.
+        src = tmp_path / "src"
+        FileTreeGenerator(seed=5).generate(
+            src, n_files=2, n_dirs=1, min_size=4 * 1024, max_size=8 * 1024
+        )
+        with DebarVault(tmp_path / "vault") as vault:
+            for _ in range(3):
+                vault.backup("docs", [src])
+            vault.forget(1)
+        catalog_path = tmp_path / "vault" / "catalog.json"
+        catalog = json.loads(catalog_path.read_text())
+        assert catalog.pop("next_run_id") == 4
+        catalog_path.write_text(json.dumps(catalog))
+        with DebarVault(tmp_path / "vault") as vault:
+            assert vault.backup("docs", [src]).run_id == 4
 
 
 class TestGc:

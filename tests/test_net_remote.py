@@ -42,13 +42,12 @@ def write_dataset(root, n_files=5, seed=7):
     return data
 
 
-@pytest.fixture(params=["async", "threaded"])
-def daemon(tmp_path, request):
-    # Every scenario in this module runs against BOTH serving cores: the
-    # async multiplexed event loop (default) and the legacy threaded
-    # baseline, so their externally observable behaviour stays identical.
+@pytest.fixture(params=["async"])
+def daemon(tmp_path):
+    # Every scenario in this module used to run once per serving core.  One
+    # core remains; the single param keeps the test names (``...[async]``).
     vault = DebarVault(tmp_path / "vault")
-    server = serve_vault(vault, threaded=request.param == "threaded")
+    server = serve_vault(vault)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address

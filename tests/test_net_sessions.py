@@ -32,6 +32,10 @@ from repro.telemetry.registry import MetricsRegistry
 
 FAST_RETRY = RetryPolicy(max_attempts=4, base_delay=0.01, max_delay=0.05, timeout=2.0)
 
+#: These cases used to run once per serving core.  One core remains; the
+#: single id keeps their names (``...[async]``) stable in the suite.
+ONE_CORE = pytest.mark.parametrize("core", ["async"])
+
 
 @contextlib.contextmanager
 def serving(tmp_path, **kw):
@@ -71,9 +75,9 @@ def append_chunk(net, session, fp, data):
 
 
 class TestSessionExpiry:
-    @pytest.mark.parametrize("threaded", [False, True], ids=["async", "threaded"])
-    def test_idle_sessions_expire_and_release_buffers(self, tmp_path, threaded):
-        with serving(tmp_path, threaded=threaded) as (vault, server):
+    @ONE_CORE
+    def test_idle_sessions_expire_and_release_buffers(self, tmp_path, core):
+        with serving(tmp_path) as (vault, server):
             with NetClient("127.0.0.1", server.port, retry=FAST_RETRY) as net:
                 session = begin_session(net)
                 append_chunk(net, session, b"\x01" * 20, b"x" * 4096)
@@ -106,9 +110,9 @@ class TestSessionExpiry:
 
 
 class TestSessionAbort:
-    @pytest.mark.parametrize("threaded", [False, True], ids=["async", "threaded"])
-    def test_abort_discards_session_idempotently(self, tmp_path, threaded):
-        with serving(tmp_path, threaded=threaded) as (vault, server):
+    @ONE_CORE
+    def test_abort_discards_session_idempotently(self, tmp_path, core):
+        with serving(tmp_path) as (vault, server):
             with NetClient("127.0.0.1", server.port, retry=FAST_RETRY) as net:
                 session = begin_session(net)
                 append_chunk(net, session, b"\x03" * 20, b"z" * 1024)
@@ -205,12 +209,12 @@ class TestAdmissionControl:
             finally:
                 server_mod._HANDLERS[m.STATS] = original
 
-    @pytest.mark.parametrize("threaded", [False, True], ids=["async", "threaded"])
-    def test_buffered_bytes_cap_sheds_busy(self, tmp_path, threaded):
+    @ONE_CORE
+    def test_buffered_bytes_cap_sheds_busy(self, tmp_path, core):
         # A 100-byte vault-wide buffer cannot park a 3000-byte chunk: every
         # attempt is shed Busy until the retry budget runs out.
         with serving(
-            tmp_path, threaded=threaded, max_buffered_bytes=100
+            tmp_path, max_buffered_bytes=100
         ) as (vault, server):
             with NetClient("127.0.0.1", server.port, retry=FAST_RETRY) as net:
                 session = begin_session(net)
@@ -238,7 +242,7 @@ class TestTenancy:
                 restored = next(dest.rglob(f"f{i}.bin")).read_bytes()
                 assert restored == (data / f"f{i}.bin").read_bytes()
 
-    @pytest.mark.parametrize("threaded", [False, True], ids=["async", "threaded"])
+    @ONE_CORE
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -248,9 +252,9 @@ class TestTenancy:
         ],
         ids=["bad-token", "unknown-tenant", "missing-token"],
     )
-    def test_bad_credentials_are_refused(self, tmp_path, threaded, kwargs):
+    def test_bad_credentials_are_refused(self, tmp_path, core, kwargs):
         with serving(
-            tmp_path, threaded=threaded, tenants=list(self.TENANTS)
+            tmp_path, tenants=list(self.TENANTS)
         ) as (vault, server):
             net = NetClient(
                 "127.0.0.1", server.port, retry=FAST_RETRY, **kwargs
@@ -261,11 +265,11 @@ class TestTenancy:
             net.close()
             assert server.registry.total("net.auth_failures") >= 1
 
-    @pytest.mark.parametrize("threaded", [False, True], ids=["async", "threaded"])
-    def test_tenant_quota_is_a_hard_error(self, tmp_path, threaded):
+    @ONE_CORE
+    def test_tenant_quota_is_a_hard_error(self, tmp_path, core):
         tenants = [TenantConfig.parse("alice=s3cret:1000")]
         with serving(
-            tmp_path, threaded=threaded, tenants=tenants
+            tmp_path, tenants=tenants
         ) as (vault, server):
             with NetClient(
                 "127.0.0.1", server.port, client_name="alice",

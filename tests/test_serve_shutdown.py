@@ -120,8 +120,9 @@ def test_sigterm_drains_replication_queue(tmp_path):
 
 
 class TestGracefulDrainInProcess:
-    @pytest.mark.parametrize("threaded", [False, True], ids=["async", "threaded"])
-    def test_drain_under_load_completes_without_timeout(self, tmp_path, threaded):
+    # One serving core remains; the single id keeps this case's name stable.
+    @pytest.mark.parametrize("core", ["async"])
+    def test_drain_under_load_completes_without_timeout(self, tmp_path, core):
         # Regression for the drain-flag ordering bug: persistent
         # connections hammering the daemon used to keep admitting new
         # requests while shutdown_gracefully waited for in-flight to hit
@@ -129,7 +130,7 @@ class TestGracefulDrainInProcess:
         # the flag raised BEFORE the wait, the hammering clients are
         # refused and the drain completes promptly.
         vault = DebarVault(tmp_path / "vault")
-        server = serve_vault(vault, threaded=threaded)
+        server = serve_vault(vault)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         stop_hammer = threading.Event()
         counts = [0] * 4
@@ -252,6 +253,7 @@ class TestGracefulDrainInProcess:
             assert time.monotonic() - t0 < 5.0
             net.close()
         finally:
+            server_mod._HANDLERS[m.PING] = original
             vault.close()
 
     def test_graceful_close_drains_replicator(self, tmp_path):
