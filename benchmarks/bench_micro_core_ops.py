@@ -6,6 +6,7 @@ actually pays.  No paper counterpart; tracked to catch regressions.
 """
 
 import numpy as np
+import pytest
 
 from repro.baselines import BloomFilter
 from repro.core.disk_index import DiskIndex, pack_bucket, unpack_bucket
@@ -13,7 +14,7 @@ from repro.core.fingerprint import SyntheticFingerprints, fingerprint
 from repro.core.preliminary_filter import PreliminaryFilter
 from repro.core.sil import SequentialIndexLookup
 from repro.core.siu import SequentialIndexUpdate
-from repro.chunking.rabin import window_fingerprints
+from repro.chunking.rabin import RABIN_DEGREE, window_fingerprints
 
 
 def bench_sha1_fingerprinting(benchmark):
@@ -21,9 +22,12 @@ def bench_sha1_fingerprinting(benchmark):
     benchmark(fingerprint, data)
 
 
-def bench_rabin_window_pass(benchmark):
+@pytest.mark.parametrize("bits", [RABIN_DEGREE, 13], ids=["full-width", "anchor-kernel"])
+def bench_rabin_window_pass(benchmark, bits):
+    """One kernel, two widths: every fingerprint bit (the tested reference)
+    and only the 13 the paper's anchor test reads (what a backup runs)."""
     data = np.random.default_rng(1).integers(0, 256, 256 * 1024, dtype=np.uint8).tobytes()
-    benchmark(window_fingerprints, data)
+    benchmark(window_fingerprints, data, bits=bits)
 
 
 def bench_index_insert(benchmark):

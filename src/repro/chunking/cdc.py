@@ -18,7 +18,7 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.chunking.rabin import RABIN_WINDOW_SIZE, RabinFingerprint, window_fingerprints
+from repro.chunking.rabin import RABIN_WINDOW_SIZE, SCAN_BLOCK, RabinFingerprint, WindowScanner
 from repro.core.fingerprint import Fingerprint, fingerprint
 
 #: Anchor constant compared against the low-order k bits of the window
@@ -38,6 +38,101 @@ class Chunk:
     @property
     def size(self) -> int:
         return len(self.data)
+
+
+class AnchorCutter:
+    """The min/max walk over a stream's anchors: the one cutter under CDC,
+    TTTD and the streaming path.
+
+    Feed it consecutive pieces of a stream; each call returns the absolute
+    end offsets of the chunks that those bytes *decide*.  A chunk ends at the
+    first main anchor at least ``min_size`` in; if none arrives within
+    ``max_size`` it ends at the last backup anchor seen in that range (TTTD;
+    plain CDC has no backup divisor), else at ``max_size``.  A cut is final
+    as soon as its anchor, or the byte at ``max_size``, has been scanned, so
+    nothing is ever looked at twice; callers only keep the bytes since the
+    last cut.  Anchors inside the first ``min_size`` bytes of a chunk never
+    count, which is also why the zero-padded windows at the start of the
+    stream (``min_size >= 48``) cannot matter.
+    """
+
+    def __init__(
+        self, min_size: int, max_size: int, main_bits: int, backup_bits: Optional[int] = None
+    ) -> None:
+        self.min_size = min_size
+        self.max_size = max_size
+        self._scanner = WindowScanner(main_bits)
+        scalar = self._scanner.dtype
+        main_mask = (1 << main_bits) - 1
+        self._main_mask = scalar(main_mask)
+        self._main_magic = scalar(ANCHOR_MAGIC & main_mask)
+        # Both magics come from one constant and the backup mask is the
+        # shorter, so every main anchor is also a backup anchor: one
+        # comparison per block finds the candidates of both kinds.
+        easy_mask = main_mask if backup_bits is None else (1 << backup_bits) - 1
+        self._easy_mask = scalar(easy_mask)
+        self._easy_magic = scalar(ANCHOR_MAGIC & easy_mask)
+        self._scanned = 0  # bytes fed so far
+        self._start = 0  # end of the last chunk decided
+        self._fallback = 0  # last backup anchor in the open chunk's range
+
+    @classmethod
+    def cut_buffer(
+        cls, data, min_size: int, max_size: int, main_bits: int, backup_bits: Optional[int] = None
+    ) -> List[int]:
+        """Every cut of one whole buffer (the last one is ``len(data)``).
+
+        At most ``min_size`` bytes are one chunk whatever they hold, decided
+        without setting up the kernel: a small-file backup makes one call
+        per file.
+        """
+        n = len(data)
+        if n <= min_size:
+            return [n] if n else []
+        cutter = cls(min_size, max_size, main_bits, backup_bits)
+        return cutter.feed(data) + cutter.finish()
+
+    def feed(self, data) -> List[int]:
+        """Scan the next bytes of the stream; return the cuts they decide."""
+        buf = np.frombuffer(data, dtype=np.uint8)
+        cuts: List[int] = []
+        for s in range(0, len(buf), SCAN_BLOCK):
+            fps = self._scanner.scan(buf[s : s + SCAN_BLOCK])
+            hits = np.flatnonzero((fps & self._easy_mask) == self._easy_magic)
+            # The window ending at stream byte j anchors the cut offset j + 1.
+            base = self._scanned + 1
+            self._scanned += len(fps)
+            is_main = (fps[hits] & self._main_mask) == self._main_magic
+            for anchor, main in zip((hits + base).tolist(), is_main.tolist()):
+                self._close_through(anchor - 1, cuts)
+                if anchor < self._start + self.min_size:
+                    continue
+                if main:
+                    self._cut(anchor, cuts)
+                else:
+                    self._fallback = anchor
+            self._close_through(self._scanned, cuts)
+        return cuts
+
+    def finish(self) -> List[int]:
+        """End of stream: the cuts of whatever is still open."""
+        cuts: List[int] = []
+        if self._fallback:
+            self._cut(self._fallback, cuts)
+        if self._start < self._scanned:
+            self._cut(self._scanned, cuts)
+        return cuts
+
+    def _close_through(self, scanned: int, cuts: List[int]) -> None:
+        """Cut every chunk whose whole ``max_size`` range has been scanned
+        (through offset ``scanned``) without a main anchor."""
+        while self._start + self.max_size <= scanned:
+            self._cut(self._fallback or self._start + self.max_size, cuts)
+
+    def _cut(self, offset: int, cuts: List[int]) -> None:
+        cuts.append(offset)
+        self._start = offset
+        self._fallback = 0
 
 
 class ContentDefinedChunker:
@@ -78,36 +173,10 @@ class ContentDefinedChunker:
     def cut_points(self, data: bytes) -> List[int]:
         """End offsets of every chunk of ``data`` (last one is ``len(data)``).
 
-        Uses the vectorised Rabin pass to find all candidate anchors, then
-        applies the min/max discipline: a chunk ends at the first anchor at
-        least ``min_size`` in, or at ``max_size`` if no anchor arrives.
+        A chunk ends at the first anchor at least ``min_size`` in, or at
+        ``max_size`` if no anchor arrives (:class:`AnchorCutter`).
         """
-        n = len(data)
-        if n == 0:
-            return []
-        fps = window_fingerprints(data)
-        # Window ending at byte index e-1 (1-based cut offset e) starts at
-        # e - RABIN_WINDOW_SIZE; fps[j] covers data[j : j+48], so the cut
-        # offset for anchor fps[j] is j + 48.
-        anchor_mask = (fps & np.uint64(self._mask)) == np.uint64(self._magic)
-        anchors = np.flatnonzero(anchor_mask) + RABIN_WINDOW_SIZE
-        cuts: List[int] = []
-        start = 0
-        pos = 0  # index into anchors
-        while start < n:
-            lo = start + self.min_size
-            hi = start + self.max_size
-            if lo >= n:
-                cuts.append(n)
-                break
-            pos = int(np.searchsorted(anchors, lo, side="left"))
-            if pos < len(anchors) and anchors[pos] <= min(hi, n):
-                cut = int(anchors[pos])
-            else:
-                cut = min(hi, n)
-            cuts.append(cut)
-            start = cut
-        return cuts
+        return AnchorCutter.cut_buffer(data, self.min_size, self.max_size, self.avg_bits)
 
     def cut_points_streaming(self, data: bytes) -> List[int]:
         """Reference implementation with the incremental rolling hash.
@@ -141,46 +210,33 @@ class ContentDefinedChunker:
     def chunks_from_stream(self, stream, read_size: Optional[int] = None) -> Iterator[Chunk]:
         """Chunk a binary file object in constant memory.
 
-        Reads ``read_size`` bytes at a time (default ``8 * max_size``) and
-        emits every chunk whose end is *decided*: a cut is final once it is
-        at least ``max_size`` short of the buffered frontier, because no
-        later byte can move it.  The produced chunks are bit-identical to
-        :meth:`chunks` on the whole buffer — verified by the test suite.
+        Reads up to ``read_size`` bytes at a time (default ``8 * max_size``;
+        short reads are fine) and emits every chunk as soon as its end is
+        decided, holding only the bytes since the last cut.  The produced
+        chunks are bit-identical to :meth:`chunks` on the whole buffer —
+        verified by the test suite.
 
         Offsets are absolute positions in the stream.
         """
         if read_size is None:
             read_size = 8 * self.max_size
-        if read_size < 2 * self.max_size:
-            raise ValueError("read_size must be at least twice max_size")
-        buffer = b""
-        consumed = 0  # absolute offset of buffer[0]
-        eof = False
-        while not eof or buffer:
-            while not eof and len(buffer) < read_size:
-                block = stream.read(read_size)
-                if not block:
-                    eof = True
-                    break
-                buffer += block
-            safe_end = len(buffer) if eof else len(buffer) - self.max_size
-            start = 0
-            for cut in self.cut_points(buffer):
-                if cut > safe_end or (not eof and cut == safe_end):
-                    break
-                payload = buffer[start:cut]
-                yield Chunk(payload, fingerprint(payload), consumed + start)
-                start = cut
-            if start == 0 and not eof:
-                # No decidable cut yet (pathological small read_size guard).
-                continue
-            buffer = buffer[start:]
-            consumed += start
-            if eof and not buffer:
-                break
-            if eof and start == 0:
-                # Final partial chunks all emitted by the loop above.
-                break
+        if read_size < 1:
+            raise ValueError("read_size must be positive")
+        cutter = AnchorCutter(self.min_size, self.max_size, self.avg_bits)
+        pending = bytearray()  # the bytes from ``offset`` on
+        offset = 0
+        while True:
+            block = stream.read(read_size)
+            cuts = cutter.feed(block) if block else cutter.finish()
+            pending += block
+            for cut in cuts:
+                size = cut - offset
+                payload = bytes(pending[:size])
+                del pending[:size]
+                yield Chunk(payload, fingerprint(payload), offset)
+                offset = cut
+            if not block:
+                return
 
     # -- chunking ---------------------------------------------------------------
     def chunks(self, data: bytes) -> Iterator[Chunk]:

@@ -10,17 +10,24 @@ two properties of interest here:
   the (reduced) contributions of its individual bytes.
 
 The linearity gives two interchangeable implementations: an incremental
-rolling one for streaming, and a vectorised one (48 table-gather passes over
-the whole buffer with NumPy) that computes every window fingerprint at once,
-roughly 30x faster in pure Python terms.  Both produce bit-identical values
-and are cross-checked in the test suite.
+rolling one (:class:`RabinFingerprint`, the byte-at-a-time ground truth) and
+a vectorised one (:class:`WindowScanner`) that XORs 48 per-position table
+gathers with NumPy.  Linearity holds bit by bit, so the low ``b`` bits of a
+fingerprint are the XOR of the table entries' low ``b`` bits: the scanner
+keeps tables and accumulators only as wide as its caller's mask (``uint16``
+for the paper's 13-bit anchor test) and works through the input in fixed
+blocks with a 47-byte overlap, so its scratch is O(block) whatever the input
+size.  :func:`window_fingerprints` is the same kernel at the full 53 bits.
+Both implementations produce bit-identical values and are cross-checked in
+the test suite.
 
 We use LBFS's degree-53 irreducible polynomial and its 48-byte window.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import functools
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,18 +51,34 @@ def _poly_mod(value: int, poly: int = RABIN_POLY, degree: int = RABIN_DEGREE) ->
     return value
 
 
-def _shift_table(shift_bits: int) -> List[int]:
-    """Table ``T[b] = (b << shift_bits) mod P`` for all byte values."""
-    return [_poly_mod(b << shift_bits) for b in range(256)]
-
-
 # T_append[hi]: reduction of the 8 bits that overflow past degree k when the
 # fingerprint is multiplied by x^8.
-_APPEND_TABLE = _shift_table(RABIN_DEGREE)
+_APPEND_TABLE = [_poly_mod(hi << RABIN_DEGREE) for hi in range(256)]
+
+
+def _position_tables() -> np.ndarray:
+    """``tables[i][b] = (b << 8*(w-1-i)) mod P``: what byte value ``b`` at
+    window position ``i`` contributes to the window's fingerprint.
+
+    Row ``w-1`` (the newest byte) is the identity; each older position is the
+    next one multiplied by x^8 — the same shift/reduce step as
+    :meth:`RabinFingerprint.roll`, applied to all 256 entries at once.
+    """
+    append = np.array(_APPEND_TABLE, dtype=np.uint64)
+    tables = np.empty((RABIN_WINDOW_SIZE, 256), dtype=np.uint64)
+    row = np.arange(256, dtype=np.uint64)
+    for i in range(RABIN_WINDOW_SIZE - 1, -1, -1):
+        tables[i] = row
+        overflow = (row >> np.uint64(RABIN_DEGREE - 8)).astype(np.intp)
+        row = ((row << np.uint64(8)) & np.uint64(_MASK)) ^ append[overflow]
+    return tables
+
+
+_POSITION_TABLES = _position_tables()
 
 # T_pop[b]: contribution of the window's oldest byte, which sits at
 # x^(8*(w-1)) when the window is full.
-_POP_TABLE = _shift_table(8 * (RABIN_WINDOW_SIZE - 1))
+_POP_TABLE = _POSITION_TABLES[0].tolist()
 
 
 class RabinFingerprint:
@@ -111,37 +134,93 @@ class RabinFingerprint:
         return self._value
 
 
-def window_fingerprints(data: bytes, out: Optional[np.ndarray] = None) -> np.ndarray:
+#: Bytes fingerprinted per kernel pass.  Large enough to amortise the 96
+#: NumPy calls of a pass, small enough that the scratch stays in cache.
+SCAN_BLOCK = 32 * 1024
+
+_UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@functools.lru_cache(maxsize=len(_UNSIGNED))
+def _narrow_tables(dtype: type) -> Tuple[np.ndarray, ...]:
+    """The position tables truncated to ``dtype``: astype keeps the low bits,
+    which by linearity are all a caller testing only low bits needs."""
+    return tuple(_POSITION_TABLES.astype(dtype, copy=False))
+
+
+class WindowScanner:
+    """Fingerprints of every window of a byte stream, one block at a time.
+
+    ``bits`` is how many low-order fingerprint bits the caller will read; the
+    scanner works in the narrowest unsigned dtype that holds them.  Blocks
+    are consecutive pieces of one stream: the last 47 bytes of each are
+    carried over, so windows straddling a seam come out exactly as if the
+    stream had been fingerprinted in one piece.
+    """
+
+    def __init__(self, bits: int = RABIN_DEGREE) -> None:
+        if not 1 <= bits <= RABIN_DEGREE:
+            raise ValueError("bits out of range")
+        self.dtype = next(d for d in _UNSIGNED if bits <= 8 * np.dtype(d).itemsize)
+        self._tables = _narrow_tables(self.dtype)
+        # The previous block's last 47 bytes (zeros before the stream
+        # starts) followed by the current block.
+        self._bytes = np.zeros(SCAN_BLOCK + RABIN_WINDOW_SIZE - 1, dtype=np.uint8)
+        self._acc = np.empty(SCAN_BLOCK, dtype=self.dtype)
+        self._tmp = np.empty(SCAN_BLOCK, dtype=self.dtype)
+
+    def scan(self, block: np.ndarray) -> np.ndarray:
+        """Fingerprint the next ``len(block) <= SCAN_BLOCK`` bytes.
+
+        Returns ``f`` with ``f[j]`` the fingerprint (truncated to the dtype)
+        of the 48-byte window *ending* at ``block[j]``, identical to what
+        :class:`RabinFingerprint` reports after rolling ``block[j]``.  The
+        first 47 values of a stream cover a window padded with zero bytes.
+        The array is scratch, overwritten by the next call.
+        """
+        w = RABIN_WINDOW_SIZE
+        m = len(block)
+        stream, tables = self._bytes, self._tables
+        stream[w - 1 : w - 1 + m] = block
+        acc, tmp = self._acc[:m], self._tmp[:m]
+        # Bytes are always valid indices, and any mode but "raise" lets take
+        # write straight into ``out`` instead of a checked temporary.
+        np.take(tables[0], stream[:m], out=acc, mode="clip")
+        for i in range(1, w):
+            np.take(tables[i], stream[i : i + m], out=tmp, mode="clip")
+            np.bitwise_xor(acc, tmp, out=acc)
+        stream[: w - 1] = stream[m : m + w - 1]
+        return acc
+
+
+def window_fingerprints(
+    data: bytes, out: Optional[np.ndarray] = None, bits: int = RABIN_DEGREE
+) -> np.ndarray:
     """Vectorised Rabin fingerprints of every full window in ``data``.
 
     Returns an array ``f`` of length ``len(data) - w + 1`` where ``f[j]`` is
     the fingerprint of ``data[j : j + w]`` — identical to what
     :class:`RabinFingerprint` reports after rolling past ``data[j + w - 1]``.
-    Exploits GF(2) linearity: each window fingerprint is the XOR of 48
-    per-position table lookups, so 48 vectorised gather/XOR passes over the
-    buffer compute all of them.
+    With ``bits`` below the full degree the values are truncated to the
+    narrowest unsigned dtype holding that many bits (the anchoring kernel);
+    the default is the full-width reference the tests compare against.
     """
     w = RABIN_WINDOW_SIZE
     n = len(data) - w + 1
+    scanner = WindowScanner(bits)
     if n <= 0:
-        return np.empty(0, dtype=np.uint64)
-    buf = np.frombuffer(data, dtype=np.uint8)
+        return np.empty(0, dtype=scanner.dtype)
     if out is None:
-        out = np.zeros(n, dtype=np.uint64)
+        out = np.empty(n, dtype=scanner.dtype)
+    elif len(out) < n or out.dtype != scanner.dtype:
+        raise ValueError(f"output buffer must hold {n} {np.dtype(scanner.dtype).name} values")
     else:
-        if len(out) < n:
-            raise ValueError("output buffer too small")
         out = out[:n]
-        out[:] = 0
-    for i in range(w):
-        table = _POSITION_TABLES[i]
-        out ^= table[buf[i : i + n]]
+    buf = np.frombuffer(data, dtype=np.uint8)
+    for start in range(0, len(buf), SCAN_BLOCK):
+        fps = scanner.scan(buf[start : start + SCAN_BLOCK])
+        # fps[j] is window number start + j - (w - 1); the stream's first
+        # w - 1 values are not full windows.
+        skip = max(0, w - 1 - start)
+        out[start + skip - (w - 1) : start + len(fps) - (w - 1)] = fps[skip:]
     return out
-
-
-# Per-position contribution tables for the vectorised path:
-# _POSITION_TABLES[i][b] = (b << 8*(w-1-i)) mod P.
-_POSITION_TABLES = [
-    np.array(_shift_table(8 * (RABIN_WINDOW_SIZE - 1 - i)), dtype=np.uint64)
-    for i in range(RABIN_WINDOW_SIZE)
-]

@@ -10,19 +10,18 @@ last backup anchor instead of the hard bound.  Backup anchors are still
 content-defined, so edits inside long anchor-poor stretches shift far
 fewer boundaries.
 
-Shares the vectorised Rabin machinery with
-:class:`~repro.chunking.cdc.ContentDefinedChunker`; an identical anchor
-stream feeds both the main and backup conditions.
+Shares :class:`~repro.chunking.cdc.AnchorCutter` with
+:class:`~repro.chunking.cdc.ContentDefinedChunker`: one fingerprint pass
+feeds both the main and backup conditions, and only the fall-back rule
+differs.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List
 
-import numpy as np
-
-from repro.chunking.cdc import ANCHOR_MAGIC, Chunk
-from repro.chunking.rabin import RABIN_WINDOW_SIZE, window_fingerprints
+from repro.chunking.cdc import AnchorCutter, Chunk
+from repro.chunking.rabin import RABIN_WINDOW_SIZE
 from repro.core.fingerprint import fingerprint
 
 
@@ -61,10 +60,6 @@ class TTTDChunker:
         self.backup_bits = backup_bits
         self.min_size = min_size
         self.max_size = max_size
-        self._main_mask = (1 << avg_bits) - 1
-        self._main_magic = ANCHOR_MAGIC & self._main_mask
-        self._backup_mask = (1 << backup_bits) - 1
-        self._backup_magic = ANCHOR_MAGIC & self._backup_mask
 
     @property
     def expected_size(self) -> int:
@@ -72,39 +67,9 @@ class TTTDChunker:
 
     def cut_points(self, data: bytes) -> List[int]:
         """End offsets of every chunk (last one is ``len(data)``)."""
-        n = len(data)
-        if n == 0:
-            return []
-        fps = window_fingerprints(data)
-        main = np.flatnonzero(
-            (fps & np.uint64(self._main_mask)) == np.uint64(self._main_magic)
-        ) + RABIN_WINDOW_SIZE
-        backup = np.flatnonzero(
-            (fps & np.uint64(self._backup_mask)) == np.uint64(self._backup_magic)
-        ) + RABIN_WINDOW_SIZE
-
-        cuts: List[int] = []
-        start = 0
-        while start < n:
-            lo = start + self.min_size
-            hi = start + self.max_size
-            if lo >= n:
-                cuts.append(n)
-                break
-            i = int(np.searchsorted(main, lo, side="left"))
-            if i < len(main) and main[i] <= min(hi, n):
-                cut = int(main[i])
-            else:
-                # No main anchor: fall back to the *last* backup anchor in
-                # the window, else the hard threshold.
-                j = int(np.searchsorted(backup, min(hi, n), side="right")) - 1
-                if j >= 0 and backup[j] >= lo:
-                    cut = int(backup[j])
-                else:
-                    cut = min(hi, n)
-            cuts.append(cut)
-            start = cut
-        return cuts
+        return AnchorCutter.cut_buffer(
+            data, self.min_size, self.max_size, self.avg_bits, self.backup_bits
+        )
 
     def chunks(self, data: bytes) -> Iterator[Chunk]:
         """Chunk a buffer; yields :class:`Chunk` with SHA-1 fingerprints."""

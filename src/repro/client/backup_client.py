@@ -71,10 +71,13 @@ class BackupEngine:
         """Anchoring + fingerprinting of one file."""
         path = Path(path)
         stat = path.stat()
-        metadata = FileMetadata(
-            path=str(path), size=stat.st_size, mode=stat.st_mode & 0o7777, mtime=stat.st_mtime
-        )
         data = path.read_bytes()
+        # The size on record is what was read and chunked, not what stat
+        # announced: a file appended to (or truncated) in between would
+        # otherwise commit a run whose every restore fails the size check.
+        metadata = FileMetadata(
+            path=str(path), size=len(data), mode=stat.st_mode & 0o7777, mtime=stat.st_mtime
+        )
         chunks = list(self.chunker.chunks(data))
         self._t_files.inc()
         self._t_bytes.inc(len(data))

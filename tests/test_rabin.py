@@ -9,6 +9,8 @@ from repro.chunking.rabin import (
     RABIN_POLY,
     RABIN_WINDOW_SIZE,
     RabinFingerprint,
+    WindowScanner,
+    _POSITION_TABLES,
     _poly_mod,
     window_fingerprints,
 )
@@ -30,6 +32,13 @@ class TestPolyMod:
     def test_linearity(self):
         a, b = 0x123456789ABCDEF, 0xFEDCBA987654321
         assert _poly_mod(a ^ b) == _poly_mod(a) ^ _poly_mod(b)
+
+    def test_position_tables_match_bit_serial_reduction(self):
+        # The tables are derived from one another by the x^8 step; each must
+        # still be the plain reduction of its shifted byte.
+        for i in (0, 1, 23, 46, 47):
+            shift = 8 * (RABIN_WINDOW_SIZE - 1 - i)
+            assert _POSITION_TABLES[i].tolist() == [_poly_mod(b << shift) for b in range(256)]
 
 
 class TestRollingFingerprint:
@@ -117,7 +126,41 @@ class TestVectorisedAgreement:
         with pytest.raises(ValueError):
             window_fingerprints(bytes(100), out=np.zeros(3, dtype=np.uint64))
 
+    def test_output_buffer_wrong_dtype(self):
+        with pytest.raises(ValueError):
+            window_fingerprints(bytes(100), out=np.zeros(100, dtype=np.uint64), bits=13)
+
     @settings(max_examples=20, deadline=None)
     @given(st.binary(min_size=RABIN_WINDOW_SIZE, max_size=300))
     def test_property_agreement(self, data):
         assert list(map(int, window_fingerprints(data))) == self._reference(data)
+
+    # GF(2) linearity holds bit by bit, so a kernel that carries only low
+    # bits must report exactly the low bits of the rolling reference: both
+    # sides of every dtype switch, and the widest mask a chunker may use.
+    @pytest.mark.parametrize(
+        "bits, dtype",
+        [(8, np.uint8), (13, np.uint16), (16, np.uint16), (17, np.uint32),
+         (32, np.uint32), (33, np.uint64), (48, np.uint64)],
+    )
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.binary(min_size=RABIN_WINDOW_SIZE, max_size=300))
+    def test_property_narrow_kernel_is_low_bits_of_reference(self, bits, dtype, data):
+        fps = window_fingerprints(data, bits=bits)
+        assert fps.dtype == dtype and bits <= 8 * fps.dtype.itemsize
+        kept = (1 << (8 * fps.dtype.itemsize)) - 1
+        assert list(map(int, fps)) == [v & kept for v in self._reference(data)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=30))
+    def test_property_pieces_of_a_stream_scan_as_one(self, sizes):
+        """The seam rule: however a stream is cut into blocks — shorter than
+        the 47-byte carry included — every window comes out the same."""
+        total = sum(sizes)
+        data = np.random.default_rng(total).integers(0, 256, total, dtype=np.uint8)
+        scanner, pieces, at = WindowScanner(13), [], 0
+        for size in sizes:
+            pieces.append(scanner.scan(data[at : at + size]).copy())
+            at += size
+        whole = window_fingerprints(data.tobytes(), bits=13)
+        np.testing.assert_array_equal(np.concatenate(pieces)[RABIN_WINDOW_SIZE - 1 :], whole)

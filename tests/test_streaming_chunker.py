@@ -53,7 +53,16 @@ class TestStreamingEquivalence:
     def test_invalid_read_size(self):
         c = small_chunker()
         with pytest.raises(ValueError):
-            list(c.chunks_from_stream(io.BytesIO(b"x" * 5000), read_size=c.max_size))
+            list(c.chunks_from_stream(io.BytesIO(b"x" * 5000), read_size=0))
+
+    def test_read_size_below_max_chunk(self):
+        # A cut is final once its anchor is scanned: no look-back, so the
+        # read size need not cover a chunk, let alone two.
+        self._compare(random_data(20_000, seed=5), read_size=100)
+        self._compare(b"\x07" * 5_000, read_size=1)
+
+    def test_reads_across_the_kernel_block_seam(self):
+        self._compare(random_data(70_000, seed=6), read_size=33_000)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -62,6 +71,34 @@ class TestStreamingEquivalence:
     )
     def test_property_equivalence(self, n, read_size):
         self._compare(random_data(n, seed=n % 13), read_size=read_size)
+
+
+class ShortReads(io.RawIOBase):
+    """A stream whose ``read(n)`` returns the scripted number of bytes,
+    never more than ``n`` — a pipe or socket delivering what it has."""
+
+    def __init__(self, data, sizes):
+        self._data, self._sizes, self._at = data, iter(sizes), 0
+
+    def read(self, n=-1):
+        size = min(n, next(self._sizes, n))
+        piece = self._data[self._at : self._at + size]
+        self._at += len(piece)
+        return piece
+
+
+class TestShortReads:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=6_000),
+        st.integers(min_value=1, max_value=5_000),
+        st.lists(st.integers(min_value=1, max_value=700), max_size=40),
+    )
+    def test_property_any_read_pattern_equals_whole_buffer(self, n, read_size, sizes):
+        c = small_chunker()
+        data = random_data(n, seed=n % 11)
+        streamed = list(c.chunks_from_stream(ShortReads(data, sizes), read_size=read_size))
+        assert streamed == list(c.chunks(data))
 
 
 class TestStreamingFromFile:

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chunking import ContentDefinedChunker, TTTDChunker
+from repro.chunking.cdc import ANCHOR_MAGIC
+from repro.chunking.rabin import SCAN_BLOCK, RabinFingerprint
+from tests.test_cdc import cut_digest
 
 
 def small_tttd(**kwargs):
@@ -24,6 +27,35 @@ def low_entropy_data(n, seed=0):
     while len(out) < n:
         out.extend(bytes([rng.integers(0, 8)]) * rng.integers(16, 64))
     return bytes(out[:n])
+
+
+def tttd_reference(c, data):
+    """Byte-at-a-time TTTD with the rolling hash, restarted at every cut.
+
+    Scan from the chunk's start; past ``min_size`` the first main-divisor
+    match ends the chunk, backup-divisor matches are remembered; on reaching
+    ``max_size`` (or the end of the data) without a main match the chunk
+    ends at the last backup match, else right there — and scanning resumes
+    from the cut, re-reading whatever lay behind a backup match.
+    """
+    main_mask, backup_mask = (1 << c.avg_bits) - 1, (1 << c.backup_bits) - 1
+    cuts, start, n = [], 0, len(data)
+    while start < n:
+        rabin, backup = RabinFingerprint(), 0
+        end = min(start + c.max_size, n)
+        cut = 0
+        for i in range(start, end):
+            value = rabin.roll(data[i])
+            if i + 1 - start < c.min_size:
+                continue
+            if value & main_mask == ANCHOR_MAGIC & main_mask:
+                cut = i + 1
+                break
+            if value & backup_mask == ANCHOR_MAGIC & backup_mask:
+                backup = i + 1
+        cuts.append(cut or backup or end)
+        start = cuts[-1]
+    return cuts
 
 
 class TestParameters:
@@ -126,3 +158,39 @@ class TestBackupDivisor:
         sizes = np.diff([0] + c.cut_points(data))
         # Hard cuts exactly at max_size should be rare: backups catch them.
         assert float(np.mean(sizes[:-1] == 1024)) < 0.05
+
+
+class TestAgainstByteWiseReference:
+    """The shared cutter's fall-back rule against TTTD done a byte at a time."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=6000), st.booleans())
+    def test_property_equals_reference(self, n, low_entropy):
+        data = low_entropy_data(n, seed=n) if low_entropy else random_data(n, seed=n)
+        for c in (small_tttd(), small_tttd(avg_bits=9, backup_bits=6)):
+            assert c.cut_points(data) == tttd_reference(c, data)
+
+    @pytest.mark.parametrize("n", [SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 47, 2 * SCAN_BLOCK + 1])
+    def test_fall_backs_across_block_seams(self, n):
+        # max_size 1000 does not divide the block, so open ranges (and the
+        # remembered backup anchor) are carried from one block to the next.
+        c = TTTDChunker(avg_bits=9, backup_bits=6, min_size=64, max_size=1000)
+        for data in (low_entropy_data(n, seed=n), random_data(n, seed=n), bytes(n)):
+            assert c.cut_points(data) == tttd_reference(c, data)
+
+    @pytest.mark.parametrize("avg_bits", [8, 16, 17, 32, 33, 48])
+    def test_every_kernel_width(self, avg_bits):
+        # Both sides of each dtype switch through the same code path.  Past
+        # 8 bits main anchors never fire here: every cut is a fall-back.
+        c = TTTDChunker(avg_bits=avg_bits, backup_bits=6, min_size=64, max_size=1 << avg_bits)
+        data = random_data(5000, seed=avg_bits)
+        cuts = c.cut_points(data)
+        assert cuts == tttd_reference(c, data)
+        assert len(cuts) > 1
+
+    def test_golden_cut_digest(self):
+        """As for CDC (``tests/test_cdc.py``): recorded from the kernel this
+        one replaced, at the default divisors and thresholds."""
+        assert cut_digest(TTTDChunker()) == (
+            "3a9c4d448f5b7dd4fa0e7904c86f3b30c6ebd8fe5a048cfd6427c1e666b15571"
+        )

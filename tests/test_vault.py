@@ -1,5 +1,7 @@
 """Tests for the persistent on-disk vault and its CLI."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main as cli_main
@@ -13,6 +15,36 @@ def make_source(tmp_path, seed=1, n_files=6):
         src, n_files=n_files, n_dirs=2, min_size=8 * 1024, max_size=48 * 1024
     )
     return src
+
+
+class TestFileChangesWhileRead:
+    """A live file may change size between ``stat()`` and the read."""
+
+    @pytest.mark.parametrize(
+        "resize",
+        [lambda data: data + b"one more log line\n", lambda data: data[:-100]],
+        ids=["appended", "truncated"],
+    )
+    def test_size_on_record_is_what_was_read(self, tmp_path, monkeypatch, resize):
+        log = tmp_path / "src" / "app.log"
+        log.parent.mkdir()
+        log.write_bytes(b"line\n" * 2000)
+        read_bytes = Path.read_bytes
+
+        def resized_after_stat(path):
+            if path == log:
+                log.write_bytes(resize(read_bytes(log)))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", resized_after_stat)
+        with DebarVault(tmp_path / "vault") as vault:
+            run = vault.backup("logs", [log.parent])
+            monkeypatch.undo()
+            was_read = log.read_bytes()
+            assert len(was_read) != 10_000
+            assert run.logical_bytes == len(was_read)
+            vault.restore(run.run_id, tmp_path / "out", strip_prefix=tmp_path)
+        assert (tmp_path / "out" / "src" / "app.log").read_bytes() == was_read
 
 
 class TestVaultLifecycle:
