@@ -2,9 +2,9 @@
 
 A fig08-style multi-generation file-tree workload is backed up, every
 container is migrated to the (simulated) object-store cold tier, and the
-latest run is restored twice through the cold read planner — once with
-planning disabled (one ranged GET per chunk, the naive baseline) and once
-with adjacent-range batching on.  The object store charges per-request
+latest run is restored twice through the vault's chunk reader — once
+unprimed (no plan: one ranged GET per chunk, the naive baseline) and once
+primed with the run's fingerprint sequence (adjacent-range batching).  The object store charges per-request
 simulated time (~30 ms first byte + 100 MB/s), so the request count *is*
 the cost model; the acceptance bar is that batching cuts cold-restore GET
 requests by at least 2x.
@@ -61,13 +61,14 @@ def _run_fingerprints(vault, run_id):
     return [fp for entry in run.files for fp in entry.fingerprints]
 
 
-def _restore_pass(vault, fps, batch):
-    """Read the whole restore plan through the planner; returns the
-    backend's request/simulated-seconds deltas for this pass."""
+def _restore_pass(vault, fps, plan):
+    """Read the whole restore sequence through a reader primed with
+    ``plan`` (or unprimed); returns the backend's request/simulated-seconds
+    deltas for this pass."""
     backend = vault.repository.cold
     requests0 = backend.requests_issued
     seconds0 = backend.simulated_seconds
-    reader = vault.cold_reader(list(fps), batch=batch)
+    reader = vault.reader(plan)
     restored = 0
     for fp in fps:
         restored += len(reader.read_chunk(fp))
@@ -88,9 +89,9 @@ def test_cold_restore_batching(results_dir, tmp_path):
             # Unbatched first: the batched pass then runs against a warm
             # metadata cache, which is the cache state both passes share —
             # neither pass re-downloads payload data fetched by the other
-            # (each reader owns its buffers).
-            unbatched = _restore_pass(vault, fps, batch=False)
-            batched = _restore_pass(vault, fps, batch=True)
+            # (each reader owns its look-ahead cache).
+            unbatched = _restore_pass(vault, fps, plan=None)
+            batched = _restore_pass(vault, fps, plan=fps)
         finally:
             vault.close()
 

@@ -163,10 +163,9 @@ def cut_delta(
             if path not in recipe:
                 files[path] = None
         new_fps = recipe_fps(recipe) - recipe_fps(base_recipe)
-    source = vault.chunk_store
-    if vault.repository.cold is not None:
-        source = vault.cold_reader(sorted(new_fps))
-    chunks = {fp: source.read_chunk(fp) for fp in sorted(new_fps)}
+    wanted = sorted(new_fps)
+    reader = vault.reader(wanted)
+    chunks = {fp: reader.read_chunk(fp) for fp in wanted}
     return Delta(
         origin=origin,
         job=run.job,

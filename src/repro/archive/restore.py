@@ -24,22 +24,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.archive.delta import fold, index_entry, unpack_delta
 from repro.client.backup_client import BackupEngine
 from repro.net import messages as m
+from repro.storage.reader import ChunkReader
 from repro.telemetry.registry import MetricsRegistry, get_registry
-
-
-class _MapReader:
-    """``ChunkStore.read_chunk`` over an in-memory fingerprint map."""
-
-    def __init__(self, chunks: Dict[bytes, bytes]) -> None:
-        self._chunks = chunks
-
-    def read_chunk(self, fp: bytes) -> bytes:
-        try:
-            return self._chunks[fp]
-        except KeyError:
-            raise KeyError(
-                f"fingerprint {fp.hex()[:12]} not covered by the delta chain"
-            ) from None
 
 
 def resolve_point(
@@ -84,7 +70,8 @@ def _materialize(
     registry = registry if registry is not None else get_registry()
     entries = [index_entry(recipe[path]) for path in sorted(recipe)]
     engine = BackupEngine("archive-restore", registry=registry)
-    paths = engine.restore_run(entries, _MapReader(chunks), dest, strip_prefix)
+    reader = ChunkReader([("delta chain", chunks)], registry=registry)
+    paths = engine.restore_run(entries, reader, dest, strip_prefix)
     registry.counter(
         "archive.restores", "point-in-time restores served from delta chains"
     ).labels().inc()

@@ -43,13 +43,12 @@ from repro.backend.objectstore import (
     ObjectStoreBackend,
     RequestProfile,
 )
-from repro.backend.planner import ColdChunkReader
+from repro.backend.planner import TieredSource
 
 __all__ = [
     "BackendError",
     "BackendFaultRule",
     "BackendTelemetry",
-    "ColdChunkReader",
     "ContainerAge",
     "LifecycleManager",
     "LifecyclePolicy",
@@ -65,5 +64,6 @@ __all__ = [
     "RetryExhaustedError",
     "StorageBackend",
     "ThrottledError",
+    "TieredSource",
     "TransientBackendError",
 ]

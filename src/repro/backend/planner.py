@@ -1,39 +1,38 @@
-"""The cold-tier read planner: adjacent chunk ranges become batched GETs.
+"""The tiered local store as a chunk source: adjacent ranges, batched GETs.
 
 A restore knows its full fingerprint sequence up front (the catalog's
 per-file fingerprint lists), and SISL containers store chunks in stream
 order — so consecutive restore reads usually land on *adjacent byte
-ranges of the same cold container*.  :class:`ColdChunkReader` exploits
-that: primed with the plan, each cold miss looks ahead, groups the
-upcoming planned fingerprints that live in the same container, coalesces
-their payload ranges (:func:`repro.util.ranges.coalesce`), and fetches
-them with **one multi-range GET** instead of one request per chunk.
+ranges of the same cold container*.  :class:`TieredSource` exploits
+that: handed the window of upcoming planned fingerprints by
+:class:`~repro.storage.reader.ChunkReader`, a cold miss picks out the
+ones that live in the same container, coalesces their payload ranges
+(:func:`repro.util.ranges.coalesce`), and fetches them with **one
+multi-range GET** instead of one request per chunk.
 
 Hot chunks take the normal path (the chunk store's LPC does the batching
-there); the planner only fronts containers the lifecycle manager has
-migrated cold.  ``batch=False`` degrades to one ranged GET per chunk —
-the unbatched baseline ``bench_cold_restore`` compares against.
+there); the source only plans for containers the lifecycle manager has
+migrated cold.  Under an unprimed reader the window is the one chunk
+asked for, i.e. one ranged GET per cold chunk — the unbatched baseline
+``bench_cold_restore`` compares against.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
-from repro.util.ranges import SegmentBuffer, Span, coalesce
+from repro.telemetry.registry import get_registry
+from repro.util.ranges import RANGE_GAP, SegmentBuffer, Span, coalesce
 
-#: Plan fingerprints examined per fill window.
-PLAN_WINDOW = 64
-
-#: Coalesce payload ranges whose gap is below this many bytes.
-RANGE_GAP = 4096
-
-#: Per-container segment buffers kept alive at once.
+#: Per-container segment buffers kept alive at once: a fingerprint the
+#: plan repeats (or a gap byte range a later chunk falls in) is served
+#: from what was already fetched instead of a second request.
 MAX_BUFFERS = 8
 
 
-class ColdChunkReader:
-    """``read_chunk`` over a tiered repository with planned range batching.
+class TieredSource:
+    """``fetch(fp, upcoming)`` over a tiered repository.
 
     Parameters
     ----------
@@ -42,44 +41,18 @@ class ColdChunkReader:
         object with ``tier_of``/``fetch_meta``/``read_ranges``).
     index:
         Fingerprint -> container ID resolver (``lookup``).
-    hot_reader:
-        Where hot-tier reads go — normally the vault's
-        :class:`~repro.server.chunk_store.ChunkStore` so the LPC keeps
-        working; anything with ``read_chunk(fp)``.
-    batch:
-        ``False`` disables planning: every cold chunk costs one ranged
-        GET (the measurement baseline).
+    chunk_store:
+        Where hot-tier reads go — the vault's
+        :class:`~repro.server.chunk_store.ChunkStore`, so the LPC keeps
+        working (it also resolves chunks still pending SIU).
     """
 
-    def __init__(
-        self,
-        repository,
-        index,
-        hot_reader,
-        batch: bool = True,
-        window: int = PLAN_WINDOW,
-        max_gap: int = RANGE_GAP,
-        registry=None,
-        name: str = "cold-tier",
-    ) -> None:
+    def __init__(self, repository, index, chunk_store, registry=None) -> None:
         self.repository = repository
         self.index = index
-        self.hot_reader = hot_reader
-        self.batch = batch
-        self.window = window
-        self.max_gap = max_gap
-        self.name = name
-        self._plan: List[bytes] = []
-        self._plan_pos = 0
+        self.chunk_store = chunk_store
         self._buffers: "OrderedDict[int, SegmentBuffer]" = OrderedDict()
-        self._meta: Dict[int, Tuple[Dict[bytes, object], int]] = {}
-        self.hot_chunks = 0
-        self.cold_chunks = 0
-        self.fill_requests = 0
-        if registry is None:
-            from repro.telemetry.registry import get_registry
-
-            registry = get_registry()
+        registry = registry if registry is not None else get_registry()
         self._t_hot = registry.counter(
             "storage.planner_hot_chunks", "chunk reads served from the hot tier"
         ).labels()
@@ -90,101 +63,44 @@ class ColdChunkReader:
             "storage.planner_fills", "cold buffer fills (one backend request each)"
         ).labels()
 
-    def plan(self, fps: Sequence[bytes]) -> None:
-        """Prime the reader with the restore's fingerprint sequence."""
-        self._plan = list(fps)
-        self._plan_pos = 0
-
-    # -- cold-container metadata ---------------------------------------------
-    def _meta_for(self, cid: int) -> Tuple[Dict[bytes, object], int]:
-        cached = self._meta.get(cid)
-        if cached is not None:
-            return cached
-        records, data_start = self.repository.fetch_meta(cid)
-        meta = ({r.fingerprint: r for r in records}, data_start)
-        self._meta[cid] = meta
-        return meta
-
     def _buffer(self, cid: int) -> SegmentBuffer:
-        buf = self._buffers.get(cid)
-        if buf is None:
-            buf = SegmentBuffer()
-            self._buffers[cid] = buf
-            while len(self._buffers) > MAX_BUFFERS:
-                old, _ = self._buffers.popitem(last=False)
-                self._meta.pop(old, None)
-        else:
-            self._buffers.move_to_end(cid)
+        buf = self._buffers.pop(cid, None) or SegmentBuffer()
+        self._buffers[cid] = buf  # (re)inserted last: most recently used
+        while len(self._buffers) > MAX_BUFFERS:
+            self._buffers.popitem(last=False)
         return buf
 
-    # -- the fill window ------------------------------------------------------
-    def _window_fps(self, fp: bytes, cid: int) -> List[bytes]:
-        """Upcoming planned fingerprints living in container ``cid``.
-
-        Scans ahead without committing (off-plan probes must not burn the
-        plan — same contract as the wire reader); commits the position
-        only when ``fp`` is found on the plan.
-        """
-        pos = self._plan_pos
-        while pos < len(self._plan) and self._plan[pos] != fp:
-            pos += 1
-        if pos >= len(self._plan):
-            return [fp]
-        self._plan_pos = pos + 1
-        out: List[bytes] = []
-        seen = set()
-        for planned in self._plan[pos : pos + self.window]:
-            if planned in seen:
-                continue
-            seen.add(planned)
-            if planned == fp or self.index.lookup(planned) == cid:
-                out.append(planned)
-        return out
-
-    def _fill(self, cid: int, fp: bytes) -> SegmentBuffer:
-        recmap, data_start = self._meta_for(cid)
-        fps = self._window_fps(fp, cid) if self.batch else [fp]
-        spans = []
-        for planned in fps:
-            rec = recmap.get(planned)
-            if rec is not None and rec.size:
-                spans.append(Span(data_start + rec.offset, rec.size, rec))
-        groups = coalesce(spans, max_gap=self.max_gap if self.batch else 0)
-        buf = self._buffer(cid)
-        ranges = [
-            (g.start, g.length)
-            for g in groups
-            if not buf.covers(g.start, g.length)
-        ]
-        if ranges:
-            self.fill_requests += 1
-            self._t_fills.inc()
-            for (start, _), blob in zip(
-                ranges, self.repository.read_ranges(cid, ranges)
-            ):
-                buf.add(start, blob)
-        return buf
-
-    # -- the ChunkStore-compatible surface ------------------------------------
-    def read_chunk(self, fp: bytes) -> bytes:
+    def fetch(self, fp: bytes, upcoming: List[bytes]) -> Dict[bytes, bytes]:
         cid = self.index.lookup(fp)
-        if cid is None:
-            raise KeyError(f"fingerprint {fp.hex()[:12]} not stored")
-        if self.repository.tier_of(cid) == "hot":
-            self.hot_chunks += 1
+        if cid is None or self.repository.tier_of(cid) == "hot":
             self._t_hot.inc()
-            return self.hot_reader.read_chunk(fp)
-        recmap, data_start = self._meta_for(cid)
-        rec = recmap.get(fp)
-        if rec is None:
-            raise KeyError(
-                f"fingerprint {fp.hex()[:12]} not in container {cid}"
+            return {fp: self.chunk_store.read_chunk(fp)}
+        records, data_start = self.repository.fetch_meta(cid)
+        by_fp = {r.fingerprint: r for r in records}
+        if fp not in by_fp:
+            raise KeyError(f"fingerprint {fp.hex()[:12]} not in container {cid}")
+        # Membership by the container's own metadata, not one index probe
+        # per planned fingerprint: a record stored here is the chunk,
+        # wherever the index points its fingerprint.
+        spans = [
+            Span(data_start + rec.offset, rec.size, p)
+            for p in upcoming
+            if (rec := by_fp.get(p)) is not None and rec.size
+        ]
+        buf = self._buffer(cid)
+        groups = coalesce(
+            (s for s in spans if not buf.covers(s.start, s.length)),
+            max_gap=RANGE_GAP,
+        )
+        if groups:
+            self._t_fills.inc()
+            blobs = self.repository.read_ranges(
+                cid, [(g.start, g.length) for g in groups]
             )
-        start = data_start + rec.offset
-        buf = self._buffers.get(cid)
-        if buf is None or not buf.covers(start, rec.size):
-            buf = self._fill(cid, fp)
-        data = buf.read(start, rec.size)
-        self.cold_chunks += 1
-        self._t_cold.inc()
-        return data
+            for group, blob in zip(groups, blobs):
+                buf.add(group.start, blob)
+        # A range that came back short leaves its span uncovered: ``read``
+        # raises KeyError, a loud miss instead of silent short data.
+        out = {s.item: buf.read(s.start, s.length) for s in spans}
+        self._t_cold.inc(len(out))
+        return out

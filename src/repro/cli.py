@@ -71,7 +71,7 @@ import json
 import signal
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 from typing import List, Optional
@@ -131,13 +131,49 @@ def _retry_from(args):
     return RetryPolicy(connect_timeout=timeout)
 
 
+def _client_kwargs(args) -> dict:
+    return {
+        "client_name": getattr(args, "client", None) or "remote",
+        "token": getattr(args, "token", None),
+        "retry": _retry_from(args),
+    }
+
+
+@contextmanager
+def _router(args):
+    """``--route``: the front door's control-plane client, plus the kwargs
+    every direct node client it hands out is built with."""
+    from repro.frontdoor.client import RouterClient
+
+    host, port = _parse_connect(args.route)
+    kwargs = _client_kwargs(args)
+    with RouterClient(host, port, retry=kwargs["retry"]) as rc:
+        yield rc, kwargs
+
+
+def _save_json(path, doc, what: str, sort_keys: bool = False) -> None:
+    """``--json`` / ``--report-json PATH``: also write ``doc`` there."""
+    if path:
+        Path(path).write_text(json.dumps(doc, indent=1, sort_keys=sort_keys))
+        print(f"{what} written to {path}")
+
+
+def _no_vault(args) -> bool:
+    """Opening a vault creates one; a command that must never "pass" a
+    vault it just conjured out of a mistyped path checks here first."""
+    if Path(args.vault).is_dir():
+        return False
+    print(f"error: no vault at {args.vault}", file=sys.stderr)
+    return True
+
+
 @contextmanager
 def _open(args):
     """The command's target: a local vault or a remote daemon.
 
-    Both expose the same data surface (backup/restore/runs/stats/gc/
-    verify/forget), so the commands below stay shape-agnostic except
-    where return types genuinely differ.
+    Both expose the same data surface (backup/restore/restore_as_of/
+    runs/stats/gc/verify/forget), so the commands below stay
+    shape-agnostic except where return types genuinely differ.
     """
     if getattr(args, "route", None):
         # Redirect mode: ask the router where the work belongs, then talk
@@ -145,16 +181,7 @@ def _open(args):
         # job-less `list`, `stats`) fall back to the router's proxy path —
         # the router speaks the full protocol, so its own address works as
         # a server address.
-        from repro.frontdoor.client import RouterClient
-
-        host, port = _parse_connect(args.route)
-        retry = _retry_from(args)
-        kwargs = {
-            "client_name": getattr(args, "client", None) or "remote",
-            "token": getattr(args, "token", None),
-            "retry": retry,
-        }
-        with RouterClient(host, port, retry=retry) as rc:
+        with _router(args) as (rc, kwargs):
             client = None
             try:
                 if getattr(args, "run", None) is not None:
@@ -171,23 +198,13 @@ def _open(args):
                 # reaches the replica set.
                 client = None
             if client is None:
-                client = RemoteBackupClient(host, port, **kwargs)
-        try:
+                client = RemoteBackupClient(rc.net.host, rc.net.port, **kwargs)
+        with client:
             yield client
-        finally:
-            client.close()
     elif getattr(args, "connect", None):
         host, port = _parse_connect(args.connect)
-        client = RemoteBackupClient(
-            host, port,
-            client_name=getattr(args, "client", None) or "remote",
-            token=getattr(args, "token", None),
-            retry=_retry_from(args),
-        )
-        try:
+        with RemoteBackupClient(host, port, **_client_kwargs(args)) as client:
             yield client
-        finally:
-            client.close()
     else:
         with DebarVault(args.vault) as vault:
             yield vault
@@ -308,97 +325,53 @@ def cmd_restore(args) -> int:
                 f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr
             )
             return EXIT_ERROR
-    replicas = getattr(args, "replica", None) or []
-    with _open(args) as target:
-        if replicas:
-            paths = _restore_with_failover(args, target, replicas)
-        else:
+    # Each --replica daemon is one more source of the target's chunk
+    # reader, so a chunk lost (or timing out) at the primary is
+    # transparently served by a surviving replica.
+    replicas = _wire_sources(_parse_peers(getattr(args, "replica", None) or []))
+    try:
+        with _open(args) as target:
             paths = target.restore(
                 args.run, args.dest, strip_prefix=args.strip_prefix,
-                job=getattr(args, "job", None),
+                job=getattr(args, "job", None), fallbacks=replicas,
             )
-        print(f"restored {len(paths)} files to {args.dest}")
-        _telemetry_finish(args, registry, tracer)
+            print(f"restored {len(paths)} files to {args.dest}")
+            _telemetry_finish(args, registry, tracer)
+    finally:
+        _close_sources(replicas)
     return EXIT_OK
 
 
 def _restore_as_of(args, registry, tracer) -> int:
     """Point-in-time restore (``--as-of``, DESIGN.md §15.5).
 
-    Resolution order: the live catalog first when it still records the
-    run (the same bytes, without folding a delta chain), then the
-    archived chain — locally at ``<vault>/archive``, over ``--connect``
-    via ``ARCHIVE_STATUS``/``DELTA_FETCH``, or through ``--route`` by
-    sweeping the live nodes' archives.  The archive path works with the
+    Every target applies one rule (``restore_as_of``): the live catalog
+    first when it still records the run (the same bytes, without folding
+    a delta chain), then its archived chain — ``<vault>/archive`` locally,
+    ``ARCHIVE_STATUS``/``DELTA_FETCH`` over the wire.  ``--route`` only
+    differs in *which* node is asked: the one recording the run, else the
+    live node whose archive retains it.  The archive path works with the
     origin vault destroyed, which is the disaster-recovery story.
     """
     job = getattr(args, "job", None)
     origin = getattr(args, "origin", None)
-    if getattr(args, "route", None):
-        from repro.frontdoor.client import RouterClient
-
-        host, port = _parse_connect(args.route)
-        retry = _retry_from(args)
-        kwargs = {
-            "client_name": getattr(args, "client", None) or "remote",
-            "token": getattr(args, "token", None),
-            "retry": retry,
-        }
-        with RouterClient(host, port, retry=retry) as rc:
-            client = None
+    with ExitStack() as stack:
+        if getattr(args, "route", None):
+            rc, kwargs = stack.enter_context(_router(args))
             try:
-                client = rc.client_for_run(args.as_of, job=job, **kwargs)
+                target = rc.client_for_run(args.as_of, job=job, **kwargs)
             except (KeyError, ConnectionError):
-                client = None  # origin gone: fall through to the archives
-            if client is not None:
-                try:
-                    paths = client.restore(
-                        args.as_of, args.dest,
-                        strip_prefix=args.strip_prefix, job=job,
-                    )
-                finally:
-                    client.close()
-            else:
-                client, o, j = rc.locate_archive_point(
+                # Origin gone: sweep the live nodes' archives.
+                target, origin, job = rc.locate_archive_point(
                     args.as_of, job=job, origin=origin, **kwargs
                 )
-                try:
-                    paths = client.restore_as_of(
-                        args.as_of, args.dest,
-                        strip_prefix=args.strip_prefix, job=j, origin=o,
-                    )
-                finally:
-                    client.close()
-    elif getattr(args, "connect", None):
-        with _open(args) as client:
-            if any(r.run_id == args.as_of for r in client.runs(job=job)):
-                paths = client.restore(
-                    args.as_of, args.dest,
-                    strip_prefix=args.strip_prefix, job=job,
-                )
-            else:
-                paths = client.restore_as_of(
-                    args.as_of, args.dest,
-                    strip_prefix=args.strip_prefix, job=job, origin=origin,
-                )
-    else:
-        from repro.archive import ArchiveStore, restore_local
-
-        with DebarVault(args.vault) as vault:
-            if any(r.run_id == args.as_of for r in vault.runs(job=job)):
-                paths = vault.restore(
-                    args.as_of, args.dest,
-                    strip_prefix=args.strip_prefix, job=job,
-                )
-            else:
-                store = ArchiveStore(
-                    Path(args.vault) / "archive", registry=registry
-                )
-                paths = restore_local(
-                    store, args.as_of, args.dest,
-                    strip_prefix=args.strip_prefix, job=job, origin=origin,
-                    registry=registry,
-                )
+            stack.enter_context(target)
+        else:
+            target = stack.enter_context(_open(args))
+        paths = target.restore_as_of(
+            args.as_of, args.dest,
+            strip_prefix=args.strip_prefix, job=job, origin=origin,
+        )
     print(
         f"restored {len(paths)} files to {args.dest} (as of run {args.as_of})"
     )
@@ -406,45 +379,20 @@ def _restore_as_of(args, registry, tracer) -> int:
     return EXIT_OK
 
 
-def _restore_with_failover(args, target, replicas: List[str]) -> List[Path]:
-    """Restore through a FailoverChunkReader: the primary source first,
-    each ``--replica`` daemon next, so a chunk lost (or timing out) at the
-    primary is transparently served by a surviving replica."""
-    from repro.net.client import RemoteChunkReader
-    from repro.replication.failover import FailoverChunkReader, ReplicaReader
+def _wire_sources(peers: dict) -> list:
+    """``{name: (host, port)}`` -> named chunk sources (``--replica``,
+    ``scrub --peer``), one lazily dialled connection each."""
+    from repro.net.client import WireSource
 
-    job = getattr(args, "job", None)
-    if isinstance(target, RemoteBackupClient):
-        entries = target.run_entries(args.run, job=job)
-        primary = (args.connect, RemoteChunkReader(target.net))
-        engine = target.engine
-    else:
-        for run in target.runs(job=job):
-            if run.run_id == args.run:
-                break
-        else:
-            raise VaultError(f"no run {args.run} in this vault")
-        entries = run.files
-        # Cold-capable when a cold tier is attached: hot chunks via the
-        # chunk store, cold chunks via planned range GETs; a dead cold
-        # backend raises OSError and falls through to the replicas.
-        local_source = (
-            target.cold_reader()
-            if target.repository.cold is not None else target.chunk_store
-        )
-        primary = ("local vault", local_source)
-        engine = target.engine
-    sources = [primary]
-    for spec in replicas:
-        name, host, port = _parse_peer(spec)
-        sources.append((name, ReplicaReader(host, port, name=name)))
-    reader = FailoverChunkReader(sources)
-    try:
-        reader.plan([fp for e in entries for fp in e.fingerprints])
-        return engine.restore_run(entries, reader, args.dest, args.strip_prefix)
-    finally:
-        for _, source in sources[1:]:
-            source.close()
+    return [
+        (name, WireSource.dial(host, port, name))
+        for name, (host, port) in peers.items()
+    ]
+
+
+def _close_sources(sources: list) -> None:
+    for _, source in sources:
+        source.close()
 
 
 def cmd_verify(args) -> int:
@@ -465,10 +413,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    # Opening a vault creates one; an auditor must never "pass" a vault
-    # it just conjured out of a mistyped path.
-    if not Path(args.vault).is_dir():
-        print(f"error: no vault at {args.vault}", file=sys.stderr)
+    if _no_vault(args):
         return EXIT_ERROR
     with _open(args) as vault:
         report = vault.audit(deep=args.deep)
@@ -544,35 +489,24 @@ def cmd_gc(args) -> int:
 
 
 def cmd_scrub(args) -> int:
-    # Same guard as audit: never scrub a vault conjured from a typo.
-    if not Path(args.vault).is_dir():
-        print(f"error: no vault at {args.vault}", file=sys.stderr)
+    if _no_vault(args):
         return EXIT_ERROR
     from repro.durability.scrubber import Scrubber
-    from repro.net.client import NetClient, RemoteChunkReader
 
     registry, tracer = _telemetry_begin(args)
-    nets: list = []
-    peers: list = []
-    try:
-        for spec in args.peer or []:
-            host, port = _parse_connect(spec)
-            net = NetClient(host, port, client_name="scrub")
-            nets.append(net)
-            peers.append(RemoteChunkReader(net, name=spec))
-        if args.repair and not peers:
-            # No peers named: heal from the replicas this vault already
-            # replicates to (replication.json), automatically.
-            from repro.replication.failover import ReplicaReader
-            from repro.replication.replicator import peers_from_state
+    peers = _wire_sources(_parse_peers(args.peer or []))
+    if args.repair and not peers:
+        # No peers named: heal from the replicas this vault already
+        # replicates to (replication.json), automatically.
+        from repro.replication.replicator import peers_from_state
 
-            for name, (host, port) in sorted(peers_from_state(args.vault).items()):
-                peers.append(ReplicaReader(host, port, name=name))
-            if peers:
-                print(
-                    "repair sources from replication state: "
-                    + ", ".join(p.name for p in peers)
-                )
+        peers = _wire_sources(dict(sorted(peers_from_state(args.vault).items())))
+        if peers:
+            print(
+                "repair sources from replication state: "
+                + ", ".join(name for name, _ in peers)
+            )
+    try:
         with DebarVault(args.vault) as vault:
             scrubber = Scrubber(
                 vault,
@@ -583,26 +517,16 @@ def cmd_scrub(args) -> int:
             )
             report = scrubber.run(repair=args.repair)
             print(report.summary())
-            if args.report_json:
-                Path(args.report_json).write_text(
-                    json.dumps(report.to_json(), indent=1)
-                )
-                print(f"scrub report written to {args.report_json}")
+            _save_json(args.report_json, report.to_json(), "scrub report")
             _telemetry_finish(args, registry, tracer)
     finally:
-        for net in nets:
-            net.close()
-        for peer in peers:
-            close = getattr(peer, "close", None)
-            if close is not None:
-                close()
+        _close_sources(peers)
     return EXIT_CORRUPTION if report.unrepaired else EXIT_OK
 
 
 def cmd_migrate(args) -> int:
     """Move eligible hot containers to the object-store cold tier."""
-    if not Path(args.vault).is_dir():
-        print(f"error: no vault at {args.vault}", file=sys.stderr)
+    if _no_vault(args):
         return EXIT_ERROR
     from repro.backend.lifecycle import LifecycleManager, LifecyclePolicy
 
@@ -625,19 +549,14 @@ def cmd_migrate(args) -> int:
         )
         for failure in report.failed:
             print(f"  failed: {failure}", file=sys.stderr)
-        if args.report_json:
-            Path(args.report_json).write_text(
-                json.dumps(report.to_json(), indent=1)
-            )
-            print(f"migration report written to {args.report_json}")
+        _save_json(args.report_json, report.to_json(), "migration report")
         _telemetry_finish(args, registry, tracer)
     return EXIT_ERROR if report.failed else EXIT_OK
 
 
 def cmd_tier_status(args) -> int:
     """Per-tier container placement and lifecycle scores."""
-    if not Path(args.vault).is_dir():
-        print(f"error: no vault at {args.vault}", file=sys.stderr)
+    if _no_vault(args):
         return EXIT_ERROR
     from repro.backend.lifecycle import LifecycleManager, LifecyclePolicy
 
@@ -665,9 +584,7 @@ def cmd_tier_status(args) -> int:
                 f"  container {c['container_id']:>4}  {c['tier']:<4} "
                 f"age={c['age_runs']} idle={c['idle_runs']}{mark}"
             )
-        if args.json:
-            Path(args.json).write_text(json.dumps(status, indent=1))
-            print(f"tier status written to {args.json}")
+        _save_json(args.json, status, "tier status")
     return EXIT_OK
 
 
@@ -676,6 +593,30 @@ def cmd_recover_index(args) -> int:
         entries = vault.recover_index()
         print(f"rebuilt index from container metadata: {entries} entries")
     return EXIT_OK
+
+
+def _serve_until_signalled(serve_forever, thread_name: str, shutdown) -> None:
+    """Run a daemon's ``serve_forever`` on a thread until SIGTERM/SIGINT,
+    then call ``shutdown`` and join the thread (``serve`` and ``route``)."""
+    stop = threading.Event()
+
+    def _request_stop(signum, frame):
+        stop.set()
+
+    previous = {
+        sig: signal.signal(sig, _request_stop)
+        for sig in (signal.SIGTERM, signal.SIGINT)
+    }
+    thread = threading.Thread(target=serve_forever, name=thread_name, daemon=True)
+    thread.start()
+    try:
+        while not stop.is_set():
+            stop.wait(0.2)
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+        shutdown()
+        thread.join(timeout=5)
 
 
 def cmd_serve(args) -> int:
@@ -811,25 +752,7 @@ def cmd_serve(args) -> int:
                     file=sys.stderr, flush=True,
                 )
 
-        stop = threading.Event()
-
-        def _request_stop(signum, frame):
-            stop.set()
-
-        previous = {
-            sig: signal.signal(sig, _request_stop)
-            for sig in (signal.SIGTERM, signal.SIGINT)
-        }
-        thread = threading.Thread(
-            target=server.serve_forever, name="repro-serve", daemon=True
-        )
-        thread.start()
-        try:
-            while not stop.is_set():
-                stop.wait(0.2)
-        finally:
-            for sig, handler in previous.items():
-                signal.signal(sig, handler)
+        def shutdown() -> None:
             # Graceful drain: stop accepting, finish in-flight requests,
             # flush the replication queue, then close the sockets.
             drained = server.shutdown_gracefully(timeout=args.drain_timeout)
@@ -837,7 +760,10 @@ def cmd_serve(args) -> int:
             vault.archive_shipper = None
             if not drained:
                 print("drain timed out; forced close", flush=True)
-            thread.join(timeout=5)
+
+        try:
+            _serve_until_signalled(server.serve_forever, "repro-serve", shutdown)
+        finally:
             _telemetry_finish(args, registry, tracer)
     print("shutdown complete", flush=True)
     return EXIT_OK
@@ -866,83 +792,66 @@ def cmd_rebuild(args) -> int:
     for note in report.notes:
         print(f"  note: {note}")
     print(f"audit: {'PASS' if report.audit_ok else 'FAIL'}")
-    if args.report_json:
-        Path(args.report_json).write_text(json.dumps(report.to_json(), indent=1))
-        print(f"rebuild report written to {args.report_json}")
+    _save_json(args.report_json, report.to_json(), "rebuild report")
     return EXIT_OK if report.audit_ok else EXIT_CORRUPTION
+
+
+def _status_command(args, what: str, msg_type: int, state_file: str, inbound) -> int:
+    """``repl-status`` / ``archive-status``: the daemon's live answer over
+    the wire, or the same document assembled from a local vault — the
+    ``inbound(vault_dir)`` inventory plus the outbound shipper's state file.
+    """
+    address = getattr(args, "connect", None) or getattr(args, "route", None)
+    if address:
+        from repro.net.client import NetClient
+
+        host, port = _parse_connect(address)
+        with NetClient(
+            host, port, client_name=args.command, retry=_retry_from(args)
+        ) as net:
+            status = net.call_json(msg_type, {})
+    else:
+        if _no_vault(args):
+            return EXIT_ERROR
+        state_path = Path(args.vault) / state_file
+        outbound = None
+        if state_path.exists():
+            try:
+                outbound = json.loads(state_path.read_text())
+            except ValueError:
+                outbound = {"error": f"{what} state unreadable"}
+        status = {
+            "node": (outbound or {}).get("node"),
+            **inbound(Path(args.vault)),
+            "outbound": outbound,
+        }
+    print(json.dumps(status, indent=1, sort_keys=True))
+    _save_json(args.json, status, f"{what} status", sort_keys=True)
+    return EXIT_OK
 
 
 def cmd_repl_status(args) -> int:
     """Replication state: inbound replica inventory + outbound queue."""
-    if getattr(args, "connect", None):
-        from repro.net import messages as m
-        from repro.net.client import NetClient
+    from repro.net import messages as m
+    from repro.replication.replicator import Replicator
+    from repro.replication.store import ReplicaStore
 
-        host, port = _parse_connect(args.connect)
-        with NetClient(host, port, client_name="repl-status") as net:
-            status = net.call_json(m.REPL_STATUS, {})
-    else:
-        if not Path(args.vault).is_dir():
-            print(f"error: no vault at {args.vault}", file=sys.stderr)
-            return EXIT_ERROR
-        from repro.replication.replicator import Replicator
-        from repro.replication.store import ReplicaStore
-
-        state_path = Path(args.vault) / Replicator.STATE_FILE
-        outbound = None
-        if state_path.exists():
-            try:
-                outbound = json.loads(state_path.read_text())
-            except ValueError:
-                outbound = {"error": "replication state unreadable"}
-        status = {
-            "node": (outbound or {}).get("node"),
-            "replicas": ReplicaStore(Path(args.vault) / "replicas").status(),
-            "outbound": outbound,
-        }
-    print(json.dumps(status, indent=1, sort_keys=True))
-    if args.json:
-        Path(args.json).write_text(json.dumps(status, indent=1, sort_keys=True))
-        print(f"replication status written to {args.json}")
-    return EXIT_OK
+    return _status_command(
+        args, "replication", m.REPL_STATUS, Replicator.STATE_FILE,
+        lambda vault: {"replicas": ReplicaStore(vault / "replicas").status()},
+    )
 
 
 def cmd_archive_status(args) -> int:
     """Archive state: stored delta chains + outbound shipping queue."""
-    if getattr(args, "connect", None) or getattr(args, "route", None):
-        from repro.net import messages as m
-        from repro.net.client import NetClient
+    from repro.archive.shipper import ArchiveShipper
+    from repro.archive.store import ArchiveStore
+    from repro.net import messages as m
 
-        host, port = _parse_connect(args.connect or args.route)
-        with NetClient(
-            host, port,
-            client_name="archive-status", retry=_retry_from(args),
-        ) as net:
-            status = net.call_json(m.ARCHIVE_STATUS, {})
-    else:
-        if not Path(args.vault).is_dir():
-            print(f"error: no vault at {args.vault}", file=sys.stderr)
-            return EXIT_ERROR
-        from repro.archive.shipper import ArchiveShipper
-        from repro.archive.store import ArchiveStore
-
-        state_path = Path(args.vault) / ArchiveShipper.STATE_FILE
-        outbound = None
-        if state_path.exists():
-            try:
-                outbound = json.loads(state_path.read_text())
-            except ValueError:
-                outbound = {"error": "archive state unreadable"}
-        status = {
-            "node": (outbound or {}).get("node"),
-            **ArchiveStore(Path(args.vault) / "archive").status(),
-            "outbound": outbound,
-        }
-    print(json.dumps(status, indent=1, sort_keys=True))
-    if args.json:
-        Path(args.json).write_text(json.dumps(status, indent=1, sort_keys=True))
-        print(f"archive status written to {args.json}")
-    return EXIT_OK
+    return _status_command(
+        args, "archive", m.ARCHIVE_STATUS, ArchiveShipper.STATE_FILE,
+        lambda vault: ArchiveStore(vault / "archive").status(),
+    )
 
 
 def cmd_route(args) -> int:
@@ -988,29 +897,14 @@ def cmd_route(args) -> int:
         flush=True,
     )
 
-    stop = threading.Event()
-
-    def _request_stop(signum, frame):
-        stop.set()
-
-    previous = {
-        sig: signal.signal(sig, _request_stop)
-        for sig in (signal.SIGTERM, signal.SIGINT)
-    }
-    thread = threading.Thread(
-        target=router.serve_forever, name="repro-route", daemon=True
-    )
-    thread.start()
-    router.health.start()
-    try:
-        while not stop.is_set():
-            stop.wait(0.2)
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
+    def shutdown() -> None:
         router.shutdown()
         router.server_close()
-        thread.join(timeout=5)
+
+    router.health.start()
+    try:
+        _serve_until_signalled(router.serve_forever, "repro-route", shutdown)
+    finally:
         _telemetry_finish(args, registry, tracer)
     print("router shutdown complete", flush=True)
     return EXIT_OK
@@ -1033,9 +927,7 @@ def cmd_cluster_status(args) -> int:
             f"rebalance: {rebalance['done']}/{rebalance['steps']} steps done "
             f"(planned at epoch {rebalance['epoch']})"
         )
-    if args.json:
-        Path(args.json).write_text(json.dumps(status, indent=1, sort_keys=True))
-        print(f"cluster status written to {args.json}")
+    _save_json(args.json, status, "cluster status", sort_keys=True)
     down = [n["name"] for n in status["nodes"] if n["state"] != "up"]
     if down:
         print(f"down: {', '.join(down)}", file=sys.stderr)
@@ -1077,9 +969,7 @@ def cmd_rebalance(args) -> int:
     )
     for failure in report["failed"]:
         print(f"  failed {failure['id']}: {failure['error']}", file=sys.stderr)
-    if args.report_json:
-        Path(args.report_json).write_text(json.dumps(report, indent=1))
-        print(f"rebalance report written to {args.report_json}")
+    _save_json(args.report_json, report, "rebalance report")
     return EXIT_ERROR if report["failed"] else EXIT_OK
 
 

@@ -122,17 +122,27 @@ def pack_bucket(
     return blob
 
 
-def unpack_bucket(blob: bytes) -> List[Tuple[Fingerprint, int]]:
+def unpack_bucket(
+    blob: bytes, checksummed: bool = False
+) -> List[Tuple[Fingerprint, int]]:
     """Parse a fixed-size bucket slot back into its entry list.
 
-    A slot carrying the checksum trailer is verified first (legacy slots
-    pad with zeros there, which never matches the trailer magic); damage
-    raises :class:`CorruptionError`.
+    In a ``checksummed`` index (every file-backed one) the trailer is
+    mandatory: a slot is either all zeros — never written, an empty
+    bucket — or ends in ``BUCKET_MAGIC`` plus a CRC32C matching the rest.
+    Anything else raises :class:`CorruptionError`; in particular a slot
+    whose magic was damaged is *not* read as an unchecksummed one, which
+    would switch verification off for exactly the buckets that need it.
+    Memory-store indexes carry no trailer and are parsed as they are.
     """
-    if len(blob) >= _TRAILER.size:
+    if checksummed:
         magic, crc = _TRAILER.unpack_from(blob, len(blob) - _TRAILER.size)
-        if magic == BUCKET_MAGIC and crc != crc32c(blob[: -_TRAILER.size]):
-            raise CorruptionError("index bucket CRC mismatch", artifact="index")
+        if magic != BUCKET_MAGIC:
+            if blob.count(0) == len(blob):
+                return []
+            raise CorruptionError("trailer missing", artifact="index")
+        if crc != crc32c(blob[: -_TRAILER.size]):
+            raise CorruptionError("CRC mismatch", artifact="index")
     (count,) = _HEADER.unpack_from(blob, 0)
     entries: List[Tuple[Fingerprint, int]] = []
     off = _HEADER.size
@@ -286,10 +296,10 @@ class DiskIndex:
 
     def _unpack(self, k: int, blob: bytes) -> List[Tuple[Fingerprint, int]]:
         try:
-            return unpack_bucket(blob)
-        except CorruptionError:
+            return unpack_bucket(blob, self.checksummed)
+        except CorruptionError as exc:
             raise CorruptionError(
-                f"index bucket {k} CRC mismatch",
+                f"index bucket {k} {exc}",
                 artifact="index", offset=k * self.bucket_bytes,
             ) from None
 
@@ -365,9 +375,6 @@ class DiskIndex:
         if left == right:
             return (left,)
         return left, right
-
-    # Backwards-compatible internal alias.
-    _neighbours = neighbours
 
     # -- point operations --------------------------------------------------------
     def insert(self, fp: Fingerprint, container_id: int) -> int:

@@ -5,10 +5,10 @@ the chunk log, the disk-index buckets — verifying checksums the write path
 stamped (see :mod:`repro.durability.framing`), and classifies damage:
 
 * **repairable** — a replacement payload exists: the chunk log still holds
-  the ``<F, D(F)>`` group, or a cluster peer (anything with
-  ``read_chunk(fp)``) serves the chunk.  Replacements are SHA-1-verified
-  against the fingerprint before they touch disk, so a scrub can never
-  launder corruption;
+  the ``<F, D(F)>`` group, or a cluster peer (any named source of a
+  :class:`~repro.storage.reader.ChunkReader`) serves the chunk.
+  Replacements are SHA-1-verified against the fingerprint before they
+  touch disk, so a scrub can never launder corruption;
 * **unrepairable** — no source has intact bytes.  The damage is reported,
   quarantined where that preserves forensics, and every catalogued file
   referencing the lost chunk is marked *degraded* in the vault catalog so
@@ -27,12 +27,13 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.disk_index import Bucket, IndexFullError, unpack_bucket
 from repro.core.fingerprint import Fingerprint
 from repro.durability.errors import CorruptionError
 from repro.storage.container import ChunkRecord, Container
+from repro.storage.reader import ChunkReader
 
 #: Cursor file name inside the vault root.
 CURSOR_FILE = "scrub.cursor"
@@ -194,10 +195,12 @@ class Scrubber:
     vault:
         The open vault to scrub.
     peers:
-        Repair sources beyond the local chunk log: objects exposing
-        ``read_chunk(fp) -> bytes`` (e.g.
-        :class:`repro.net.client.RemoteChunkReader` pointed at a replica
-        vault).  Payloads are fingerprint-verified before use.
+        Repair sources beyond the local chunk log: ``(name, source)``
+        pairs, each a :class:`~repro.storage.reader.ChunkReader` source
+        (e.g. a :class:`repro.net.client.WireSource` dialled at a replica
+        vault).  They are asked one by one, not as one fall-through
+        reader, because every candidate payload is fingerprint-verified
+        before use and a rotten answer must move on to the next peer.
     rate_bps:
         Optional read-rate cap in bytes per second.
     max_records:
@@ -212,14 +215,17 @@ class Scrubber:
     def __init__(
         self,
         vault,
-        peers: Sequence[object] = (),
+        peers: Sequence[Tuple[str, object]] = (),
         rate_bps: Optional[float] = None,
         max_records: Optional[int] = None,
         sleep: Callable[[float], None] = time.sleep,
         reset_cursor: bool = False,
     ) -> None:
         self.vault = vault
-        self.peers = list(peers)
+        self.peers = [
+            (name, ChunkReader([(name, source)], registry=vault.telemetry))
+            for name, source in peers
+        ]
         self.fs = vault.fs
         self._budget = _Budget(max_records, rate_bps, sleep)
         self._cursor_path = vault.root / CURSOR_FILE
@@ -366,10 +372,6 @@ class Scrubber:
         records, _ = repo.fetch_meta(cid)
         return None, faults, nbytes, len(records)
 
-    def _peer_name(self, position: int, peer: object) -> str:
-        name = getattr(peer, "name", None)
-        return str(name) if name else f"peer#{position + 1}"
-
     def _fetch_good_payload(
         self, fp: Fingerprint, size: Optional[int]
     ) -> Optional[tuple]:
@@ -385,13 +387,13 @@ class Scrubber:
             if record.fingerprint == fp and record.data is not None:
                 if _sha1(record.data) == fp:
                     return record.data, "local chunk log"
-        for position, peer in enumerate(self.peers):
+        for name, peer in self.peers:
             try:
                 data = peer.read_chunk(fp)
             except Exception:
                 continue  # miss, peer down, protocol error: try the next one
             if _sha1(data) == fp and (size is None or len(data) == size):
-                return data, self._peer_name(position, peer)
+                return data, name
         return None
 
     def _repair_payloads(
@@ -566,7 +568,7 @@ class Scrubber:
             report.records_checked += 1
             self._budget.charge_records(1)
             try:
-                unpack_bucket(blob)
+                unpack_bucket(blob, index.checksummed)
             except CorruptionError:
                 report.corrupt_found += 1
                 bad.append(k)

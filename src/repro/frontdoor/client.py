@@ -42,6 +42,7 @@ class RouterClient:
         self.epoch: Optional[int] = None
         self.ring: Optional[PlacementRing] = None
         self.nodes: Dict[str, dict] = {}
+        self._last_error: Optional[Exception] = None
 
     def close(self) -> None:
         self.net.close()
@@ -100,16 +101,39 @@ class RouterClient:
         return host or "127.0.0.1", int(port)
 
     # -- direct node clients ------------------------------------------------------
+    def _direct(self, node: str, **kwargs) -> RemoteBackupClient:
+        """A direct client to ``node`` — this client's name, retry policy
+        and registry unless the caller overrides them."""
+        host, port = self.address_of(node)
+        kwargs.setdefault("client_name", self.client_name)
+        kwargs.setdefault("retry", self.retry)
+        kwargs.setdefault("registry", self.registry)
+        return RemoteBackupClient(host, port, **kwargs)
+
+    def _live_nodes(self) -> List[str]:
+        return [
+            n for n in sorted(self.nodes) if self.nodes[n].get("state") == "up"
+        ]
+
+    def _ask(self, nodes: List[str], ask, kwargs: dict):
+        """Ask each node in turn over its own direct connection: yield
+        ``(node, ask(client))`` for every node that answered.  A node that
+        cannot be reached (or refuses) is passed over; the last such
+        failure is kept in ``_last_error`` for the caller's message."""
+        self._last_error = None
+        for node in nodes:
+            try:
+                with self._direct(node, **kwargs) as client:
+                    yield node, ask(client)
+            except Exception as exc:
+                self._last_error = exc
+
     def client_for_job(self, job: str, **kwargs) -> RemoteBackupClient:
         """A direct :class:`RemoteBackupClient` to the job's primary."""
         order = self.live_order_for_job(job)
         if not order:
             raise ConnectionError(f"no live node to own job {job!r}")
-        host, port = self.address_of(order[0])
-        kwargs.setdefault("client_name", self.client_name)
-        kwargs.setdefault("retry", self.retry)
-        kwargs.setdefault("registry", self.registry)
-        return RemoteBackupClient(host, port, **kwargs)
+        return self._direct(order[0], **kwargs)
 
     def client_for_run(
         self, run_id: int, job: Optional[str] = None, **kwargs
@@ -126,52 +150,28 @@ class RouterClient:
         router's proxy path (mirrored catalogs) is the fallback.
         """
         self.ensure_ring()
-        kwargs.setdefault("client_name", self.client_name)
-        kwargs.setdefault("retry", self.retry)
-        kwargs.setdefault("registry", self.registry)
-        live = {
-            n for n, info in self.nodes.items() if info.get("state") == "up"
-        }
-        order = (
-            self.live_order_for_job(job)
-            if job else [n for n in sorted(self.nodes) if n in live]
-        )
-        last: Optional[Exception] = None
+        order = self.live_order_for_job(job) if job else self._live_nodes()
         owners: Dict[str, str] = {}  # job -> first node recording the run
-        for node in order:
-            host, port = self.address_of(node)
-            try:
-                client = RemoteBackupClient(host, port, **kwargs)
-            except Exception as exc:
-                last = exc
-                continue
-            try:
-                runs = client.runs(job=job)
-            except Exception as exc:
-                last = exc
-                client.close()
-                continue
-            hit = any(r.run_id == run_id for r in runs)
-            if hit and job:
-                return client  # job-qualified: the first ring match wins
-            if hit:
-                for r in runs:
-                    if r.run_id == run_id:
-                        owners.setdefault(r.job, node)
-            client.close()
+        for node, runs in self._ask(order, lambda c: c.runs(job=job), kwargs):
+            for r in runs:
+                if r.run_id == run_id:
+                    owners.setdefault(r.job, node)
+            if owners and job:
+                break  # job-qualified: the first ring match wins
         if len(owners) > 1:
             raise KeyError(
                 f"run {run_id} is recorded by jobs {sorted(owners)}; "
                 "qualify the lookup with a job"
             )
         if owners:
-            host, port = self.address_of(next(iter(owners.values())))
-            return RemoteBackupClient(host, port, **kwargs)
+            return self._direct(next(iter(owners.values())), **kwargs)
         scope = f" for job {job!r}" if job else ""
         raise KeyError(
-            f"no live node records run {run_id}{scope}"
-            + (f" (last error: {last})" if last else "")
+            f"no live node records run {run_id}{scope}" + self._last_error_note()
         )
+
+    def _last_error_note(self) -> str:
+        return f" (last error: {self._last_error})" if self._last_error else ""
 
     def locate_archive_point(
         self,
@@ -190,29 +190,10 @@ class RouterClient:
         two different chains raises instead of picking one.
         """
         self.ensure_ring()
-        kwargs.setdefault("client_name", self.client_name)
-        kwargs.setdefault("retry", self.retry)
-        kwargs.setdefault("registry", self.registry)
-        live = [
-            n for n in sorted(self.nodes)
-            if self.nodes[n].get("state") == "up"
-        ]
-        last: Optional[Exception] = None
         hits: Dict[Tuple[str, str], str] = {}  # (origin, job) -> node
-        for node in live:
-            host, port = self.address_of(node)
-            try:
-                client = RemoteBackupClient(host, port, **kwargs)
-            except Exception as exc:
-                last = exc
-                continue
-            try:
-                status = client.archive_status()
-            except Exception as exc:
-                last = exc
-                client.close()
-                continue
-            client.close()
+        for node, status in self._ask(
+            self._live_nodes(), RemoteBackupClient.archive_status, kwargs
+        ):
             for o, jobs in (status.get("origins") or {}).items():
                 if origin and o != origin:
                     continue
@@ -229,12 +210,11 @@ class RouterClient:
             )
         if hits:
             (o, j), node = next(iter(hits.items()))
-            host, port = self.address_of(node)
-            return RemoteBackupClient(host, port, **kwargs), o, j
+            return self._direct(node, **kwargs), o, j
         scope = f" for job {job!r}" if job else ""
         raise KeyError(
             f"no archived chain retains run {run_id}{scope}"
-            + (f" (last error: {last})" if last else "")
+            + self._last_error_note()
         )
 
     # -- cluster admin ------------------------------------------------------------

@@ -49,7 +49,7 @@ import asyncio
 import contextlib
 import random
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.frontdoor.health import (
     DEFAULT_MARK_DOWN_AFTER,
@@ -507,6 +507,39 @@ class FrontDoorRouter(AsyncFrameServer):
                 ordered.append(name)
         return ordered
 
+    async def _ask_live(
+        self,
+        conn: _Connection,
+        msg_type: int,
+        payload: bytes,
+        unreachable: Optional[set] = None,
+        skip: Iterable[str] = (),
+    ):
+        """Ask the live candidates in turn; yield ``(node, response)`` for
+        each one that answered without ``ERROR``.
+
+        The one "ask around" loop under the fan-outs and deep fallbacks: a
+        node that cannot be reached is passed over — and recorded in
+        ``unreachable`` when the caller tracks who is de-facto down for
+        this request — and an ``ERROR`` means *this node doesn't hold it*.
+        ``skip`` names nodes already known unreachable (asking again would
+        only wait out another timeout).  A caller that needs one answer
+        breaks out of the loop.
+        """
+        for node in self._live_candidates(conn, None):
+            if node in skip:
+                continue
+            try:
+                response = await self._forward(
+                    conn, node, Frame(msg_type, self._next_rid(), payload)
+                )
+            except (ConnectionError, OSError, asyncio.TimeoutError, RouteError):
+                if unreachable is not None:
+                    unreachable.add(node)
+                continue
+            if response.msg_type != m.ERROR:
+                yield node, response
+
     def _primary_for_job(self, job: str) -> Optional[str]:
         """First *live* node in ring order for the job key."""
         ring = self.membership.ring()
@@ -589,13 +622,7 @@ class FrontDoorRouter(AsyncFrameServer):
             )
         merged: List[dict] = []
         answered = False
-        for node in self._live_candidates(conn, None):
-            try:
-                response = await self._forward(conn, node, frame)
-            except (ConnectionError, OSError, asyncio.TimeoutError, RouteError):
-                continue
-            if response.msg_type == m.ERROR:
-                continue
+        async for _, response in self._ask_live(conn, m.RUNS, frame.payload):
             answered = True
             merged.extend(m.decode_json(response.payload))
         if not answered:
@@ -615,15 +642,9 @@ class FrontDoorRouter(AsyncFrameServer):
         DELTA_FETCHes that follow fail over to whichever node holds them."""
         nodes: Dict[str, dict] = {}
         origins: Dict[str, dict] = {}
-        for node in self._live_candidates(conn, None):
-            try:
-                response = await self._forward(
-                    conn, node, Frame(m.ARCHIVE_STATUS, self._next_rid(), frame.payload)
-                )
-            except (ConnectionError, OSError, asyncio.TimeoutError, RouteError):
-                continue
-            if response.msg_type == m.ERROR:
-                continue
+        async for node, response in self._ask_live(
+            conn, m.ARCHIVE_STATUS, frame.payload
+        ):
             doc = m.decode_json(response.payload)
             nodes[node] = doc
             for origin, jobs in (doc.get("origins") or {}).items():
@@ -652,16 +673,9 @@ class FrontDoorRouter(AsyncFrameServer):
         owners: Dict[str, str] = {}
         unreachable: set = set()
         payload = m.encode_json({"job": job} if job else {})
-        for node in self._live_candidates(conn, None):
-            try:
-                response = await self._forward(
-                    conn, node, Frame(m.RUNS, self._next_rid(), payload)
-                )
-            except (ConnectionError, OSError, asyncio.TimeoutError, RouteError):
-                unreachable.add(node)
-                continue
-            if response.msg_type == m.ERROR:
-                continue
+        async for node, response in self._ask_live(
+            conn, m.RUNS, payload, unreachable
+        ):
             for run in m.decode_json(response.payload):
                 if int(run.get("run_id", -1)) == run_id:
                     owners.setdefault(str(run.get("job", "")), node)
@@ -821,7 +835,10 @@ class FrontDoorRouter(AsyncFrameServer):
 
         A batch can span containers whose replica sets land on different
         surviving nodes after the origin died; per-fingerprint probes let
-        each survivor contribute the chunks it holds.
+        each survivor contribute the chunks it holds.  (The frame-level
+        analogue of the client-side rule: a reader that holds the replica
+        addresses itself gets the same effect from
+        :class:`repro.net.client.WireSource` serving part of a window.)
         """
         try:
             fps, _ = m.decode_fps(frame.payload)
@@ -830,16 +847,9 @@ class FrontDoorRouter(AsyncFrameServer):
         chunks: List[Tuple[bytes, bytes]] = []
         for fp in fps:
             data: Optional[bytes] = None
-            for node in self._live_candidates(conn, None):
-                try:
-                    response = await self._forward(
-                        conn, node,
-                        Frame(m.CHUNK_READ, self._next_rid(), m.encode_fps([fp])),
-                    )
-                except (ConnectionError, OSError, asyncio.TimeoutError, RouteError):
-                    continue
-                if response.msg_type == m.ERROR:
-                    continue
+            async for _, response in self._ask_live(
+                conn, m.CHUNK_READ, m.encode_fps([fp])
+            ):
                 got, _ = m.decode_chunk_batch(response.payload)
                 if got:
                     data = got[0][1]
@@ -875,28 +885,18 @@ class FrontDoorRouter(AsyncFrameServer):
         except (m.MessageError, TypeError, ValueError):
             return None
         job = job or str(doc.get("job") or "")
-        reachable = set(self.membership.live_names()) - (extra_down or set())
+        extra_down = extra_down or set()
+        reachable = set(self.membership.live_names()) - extra_down
         down = [
             n for n in self.membership.names() if n not in reachable
         ]
         matches: Dict[str, list] = {}  # job -> catalog file list
         for origin in down:
             catalog = None
-            for node in self._live_candidates(conn, None):
-                if node not in reachable:
-                    continue
-                try:
-                    response = await self._forward(
-                        conn, node,
-                        Frame(
-                            m.CATALOG_FETCH, self._next_rid(),
-                            m.encode_json({"origin": origin}),
-                        ),
-                    )
-                except (ConnectionError, OSError, asyncio.TimeoutError, RouteError):
-                    continue
-                if response.msg_type == m.ERROR:
-                    continue
+            async for _, response in self._ask_live(
+                conn, m.CATALOG_FETCH, m.encode_json({"origin": origin}),
+                skip=extra_down,
+            ):
                 catalog = m.decode_json(response.payload).get("catalog") or {}
                 break
             for run in (catalog or {}).get("runs", []):

@@ -17,9 +17,10 @@ boundaries real.  It provides, bottom up:
   loop hosting a :class:`~repro.system.vault.DebarVault` behind the
   protocol, with admission control and per-tenant auth/quotas
   (DESIGN.md §12).
-- :mod:`repro.net.client` — :class:`RemoteBackupClient` and
-  :class:`RemoteChunkReader`, mirroring the in-process vault API so the
-  CLI runs against ``--connect host:port`` unchanged.
+- :mod:`repro.net.client` — :class:`RemoteBackupClient`, mirroring the
+  in-process vault API so the CLI runs against ``--connect host:port``
+  unchanged, and :class:`WireSource`, ``CHUNK_READ`` as a source of the
+  one chunk reader (:mod:`repro.storage.reader`).
 - :mod:`repro.net.shipper` — :class:`~repro.net.shipper.AsyncShipper`,
   the one engine that ships work to peers after dedup-2 (replication
   and archive are policies over it; DESIGN.md §11.2, §15.4).
@@ -36,7 +37,7 @@ role), ``net.requests`` / ``net.responses`` per message type,
 ``net.rpc_latency`` histograms and ``net.retries``.
 """
 
-from repro.net.client import NetClient, RemoteBackupClient, RemoteChunkReader, RetryPolicy
+from repro.net.client import NetClient, RemoteBackupClient, RetryPolicy, WireSource
 from repro.net.framing import (
     FRAME_HEADER_SIZE,
     MAX_PAYLOAD,
@@ -65,10 +66,10 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "RemoteBackupClient",
-    "RemoteChunkReader",
     "RetryPolicy",
     "TenantConfig",
     "TruncatedFrame",
     "VaultProtocolServer",
+    "WireSource",
     "serve_vault",
 ]

@@ -21,8 +21,8 @@ exactly the paper's Section 3 client/server boundary: anchoring,
 chunking and fingerprinting run here; filtering, the chunk log, dedup-2
 and the LPC run on the server.
 
-:class:`RemoteChunkReader` adapts ``CHUNK_READ`` to the
-``ChunkStore.read_chunk`` interface (with plan-driven batched reads) so
+:class:`WireSource` is ``CHUNK_READ`` as a source of the one
+:class:`~repro.storage.reader.ChunkReader` (plan-driven batched reads), so
 :meth:`~repro.client.backup_client.BackupEngine.restore_run` works
 unchanged against a remote server.
 """
@@ -42,9 +42,9 @@ from repro.core.fingerprint import Fingerprint
 from repro.director.metadata import FileIndexEntry, FileMetadata
 from repro.net import messages as m
 from repro.net.framing import Frame, FrameError, ProtocolError, read_frame
+from repro.storage.reader import ChunkReader
 from repro.telemetry.clock import wall_now
 from repro.telemetry.registry import MetricsRegistry, get_registry
-from repro.util.ranges import Span, leading_run
 
 PathLike = Union[str, Path]
 
@@ -391,74 +391,57 @@ class RemoteRun:
     chunks: Optional[int] = None
 
 
-class RemoteChunkReader:
-    """``ChunkStore.read_chunk`` over the wire, with planned batch reads.
+class WireSource:
+    """``CHUNK_READ`` as a :class:`~repro.storage.reader.ChunkReader` source.
 
-    ``plan()`` primes the reader with the fingerprint sequence a restore
-    is about to follow; each cache miss then fetches the next
-    ``READ_BATCH`` planned fingerprints in one ``CHUNK_READ``, so a
+    Each fetch asks for the next planned fingerprints in one request, so a
     sequential restore pays one RPC per batch instead of one per chunk
-    (the wire analogue of the LPC's locality argument).
+    (the wire analogue of the LPC's locality argument).  A daemon fails a
+    whole batch on any miss (its own store and its replica store are
+    all-or-nothing per frame), and after the origin died a window can span
+    containers placed on different survivors — so a refused batch is
+    retried for the requested fingerprint alone, and the next batch is
+    half as long; every full answer doubles it again up to
+    :data:`READ_BATCH`.  The peer serves what it can; the reader asks the
+    next source only for what is still missing.
     """
 
-    def __init__(
-        self, net: NetClient, batch: int = READ_BATCH, name: Optional[str] = None
-    ) -> None:
+    def __init__(self, net: NetClient, owns_net: bool = False) -> None:
         self._net = net
-        self._batch = batch
-        #: Display name for repair attribution (scrub reports name the
-        #: peer that healed each record).
-        self.name = name if name is not None else f"{net.host}:{net.port}"
-        self._plan: List[Fingerprint] = []
-        self._plan_pos = 0
-        self._cache: Dict[Fingerprint, bytes] = {}
+        self._owns_net = owns_net
+        self._batch = READ_BATCH
 
-    def plan(self, fps: Sequence[Fingerprint]) -> None:
-        self._plan = list(fps)
-        self._plan_pos = 0
+    @classmethod
+    def dial(cls, host: str, port: int, name: str) -> "WireSource":
+        """A source over its own connection to a peer daemon, opened on
+        the first fetch and closed by :meth:`close`."""
+        return cls(
+            NetClient(host, port, client_name=f"failover:{name}"), owns_net=True
+        )
 
-    def _fetch(self, fps: Sequence[Fingerprint]) -> None:
-        chunks, _ = m.decode_chunk_batch(self._net.call(m.CHUNK_READ, m.encode_fps(fps)))
-        for fp, data in chunks:
-            self._cache[fp] = data
+    def _read(self, fps: Sequence[Fingerprint]) -> Dict[Fingerprint, bytes]:
+        chunks, _ = m.decode_chunk_batch(
+            self._net.call(m.CHUNK_READ, m.encode_fps(fps))
+        )
+        return dict(chunks)
 
-    def read_chunk(self, fp: Fingerprint) -> bytes:
-        data = self._cache.pop(fp, None)
-        if data is not None:
-            return data
-        # Scan ahead for this fingerprint *without* committing the scan:
-        # an off-plan read (scrub repair probes, a replayed fingerprint)
-        # must not burn the rest of the plan, or every subsequent planned
-        # read would degrade to one RPC per chunk.
-        pos = self._plan_pos
-        while pos < len(self._plan) and self._plan[pos] != fp:
-            pos += 1
-        if pos < len(self._plan):
-            # The batch window is the leading adjacent run of the plan from
-            # this position — the same coalescing geometry the cold-tier
-            # read planner uses over byte ranges (repro.util.ranges).
-            spans = [
-                Span(i, 1, self._plan[i])
-                for i in range(pos, min(pos + self._batch, len(self._plan)))
-            ]
-            window: List[Fingerprint] = []
-            seen = set()
-            for span in leading_run(spans, max_items=self._batch):
-                if span.item not in seen:
-                    window.append(span.item)
-                    seen.add(span.item)
-            self._plan_pos = pos + 1
-            self._fetch(window)
-            data = self._cache.pop(fp, None)
-            if data is not None:
-                return data
-        # Off-plan (or server-side miss): a single direct read; the plan
-        # position is untouched so planned reads keep batching.
-        self._fetch([fp])
+    def fetch(
+        self, fp: Fingerprint, upcoming: Sequence[Fingerprint]
+    ) -> Dict[Fingerprint, bytes]:
+        wanted = upcoming[: self._batch]
         try:
-            return self._cache.pop(fp)
-        except KeyError:
-            raise KeyError(f"fingerprint {fp.hex()[:12]} not stored") from None
+            got = self._read(wanted)
+        except RemoteError:
+            if len(wanted) == 1:
+                raise
+            self._batch = len(wanted) // 2
+            return self._read([fp])
+        self._batch = min(READ_BATCH, 2 * self._batch)
+        return got
+
+    def close(self) -> None:
+        if self._owns_net:
+            self._net.close()
 
 
 class RemoteBackupClient:
@@ -479,6 +462,7 @@ class RemoteBackupClient:
         token: Optional[str] = None,
     ) -> None:
         registry = registry if registry is not None else get_registry()
+        self.registry = registry
         self.net = NetClient(
             host, port, client_name=client_name, retry=retry, registry=registry,
             token=token,
@@ -633,11 +617,17 @@ class RemoteBackupClient:
         dest: PathLike,
         strip_prefix: PathLike = "/",
         job: Optional[str] = None,
+        fallbacks: Sequence[Tuple[str, object]] = (),
     ) -> List[Path]:
-        """Restore one run into ``dest`` through batched chunk reads."""
+        """Restore one run into ``dest`` through batched chunk reads —
+        from this connection, then from ``fallbacks`` in order (named
+        chunk sources: the ``--replica`` daemons of a failover restore)."""
         entries = self.run_entries(run_id, job=job)
-        reader = RemoteChunkReader(self.net)
-        reader.plan([fp for e in entries for fp in e.fingerprints])
+        reader = ChunkReader(
+            [(f"{self.net.host}:{self.net.port}", WireSource(self.net)), *fallbacks],
+            (fp for e in entries for fp in e.fingerprints),
+            registry=self.registry,
+        )
         return self.engine.restore_run(entries, reader, dest, strip_prefix)
 
     # -- maintenance and queries --------------------------------------------------
@@ -668,15 +658,6 @@ class RemoteBackupClient:
         """The server's delta-chain inventory (``ARCHIVE_STATUS``)."""
         return self.net.call_json(m.ARCHIVE_STATUS, {})
 
-    def fetch_delta(self, origin: str, job: str, base: int, run: int) -> bytes:
-        """One raw chain segment (``DELTA_FETCH``); self-describing bytes."""
-        return self.net.call(
-            m.DELTA_FETCH,
-            m.encode_json(
-                {"origin": origin, "job": job, "base": base, "run": run}
-            ),
-        )
-
     def archive_merge(
         self,
         retention: Optional[str] = None,
@@ -701,8 +682,12 @@ class RemoteBackupClient:
         job: Optional[str] = None,
         origin: Optional[str] = None,
     ) -> List[Path]:
-        """Point-in-time restore from this server's archived chains —
-        the primary vault need not exist (repro.archive.restore)."""
+        """Point-in-time restore: the live catalog when it still records
+        the run (the same bytes, without folding a delta chain), else this
+        server's archived chains — the primary vault need not exist
+        (repro.archive.restore)."""
+        if any(r.run_id == as_of for r in self.runs(job=job)):
+            return self.restore(as_of, dest, strip_prefix=strip_prefix, job=job)
         from repro.archive.restore import restore_remote
 
         return restore_remote(

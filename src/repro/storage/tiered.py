@@ -41,7 +41,7 @@ from repro.storage.container import (
     verify_records,
 )
 from repro.storage.file_repository import FileChunkRepository
-from repro.util.ranges import SegmentBuffer, Span, coalesce
+from repro.util.ranges import RANGE_GAP, SegmentBuffer, Span, coalesce
 
 PathLike = Union[str, Path]
 
@@ -51,11 +51,6 @@ TIER_COLD = "cold"
 #: First ranged read when parsing cold metadata: superblock + ~290 records.
 #: One extra round trip only for containers with more records than that.
 META_PREFIX_GUESS = 8192
-
-#: Adjacent payload ranges closer than this are coalesced into one range
-#: of a multi-range GET — fetching a small gap is cheaper than the
-#: per-range overhead of splitting around it.
-DEFAULT_RANGE_GAP = 4096
 
 
 class TieredChunkRepository(FileChunkRepository):
@@ -105,6 +100,12 @@ class TieredChunkRepository(FileChunkRepository):
     def _hot(self, container_id: int) -> bool:
         return self.fs.exists(self._path(container_id))
 
+    def _cold_object(self, container_id: int) -> str:
+        """The cold key of a container the cold tier holds (else KeyError)."""
+        if self.cold is None or container_id not in self._cold_ids:
+            raise KeyError(f"container {container_id} not in repository")
+        return self.cold_key(container_id)
+
     def tier_of(self, container_id: int) -> str:
         """``"hot"`` or ``"cold"`` (hot wins when both copies exist)."""
         if self._hot(container_id):
@@ -141,8 +142,6 @@ class TieredChunkRepository(FileChunkRepository):
         meta = self.meta_cache.get(container_id)
         if meta is not None:
             return meta
-        if self.cold is None or container_id not in self._cold_ids:
-            raise KeyError(f"container {container_id} not in repository")
         parsed = self._parse_cold_meta(container_id)
         self.meta_cache.put(container_id, parsed)
         return parsed
@@ -153,7 +152,7 @@ class TieredChunkRepository(FileChunkRepository):
         """Parse a cold object's metadata section from ranged reads,
         bypassing the hot file and every cache — the read that proves the
         *object* is intact."""
-        key = self.cold_key(container_id)
+        key = self._cold_object(container_id)
         prefix = self.cold.get_range(key, 0, META_PREFIX_GUESS)
         try:
             return Container.parse_meta(container_id, prefix)
@@ -168,15 +167,6 @@ class TieredChunkRepository(FileChunkRepository):
             return Container.parse_meta(container_id, prefix)
 
     # -- ranged reads ---------------------------------------------------------
-    def read_range(self, container_id: int, offset: int, length: int) -> bytes:
-        """One byte range of a container image (absolute image offsets)."""
-        if self._hot(container_id):
-            with open(self._path(container_id), "rb") as fh:
-                return self.fs.pread(fh, offset, length)
-        if self.cold is None or container_id not in self._cold_ids:
-            raise KeyError(f"container {container_id} not in repository")
-        return self.cold.get_range(self.cold_key(container_id), offset, length)
-
     def read_ranges(
         self, container_id: int, ranges: List[Tuple[int, int]]
     ) -> List[bytes]:
@@ -188,18 +178,14 @@ class TieredChunkRepository(FileChunkRepository):
                 for offset, length in ranges:
                     out.append(self.fs.pread(fh, offset, length))
             return out
-        if self.cold is None or container_id not in self._cold_ids:
-            raise KeyError(f"container {container_id} not in repository")
-        return self.cold.get_ranges(self.cold_key(container_id), ranges)
+        return self.cold.get_ranges(self._cold_object(container_id), ranges)
 
     # -- whole-image access (replication, CONTAINER_FETCH, scrub repair) ------
     def read_image(self, container_id: int) -> bytes:
         """The full serialized image, byte-identical on either tier."""
         if self._hot(container_id):
             return self.fs.read_file(self._path(container_id))
-        if self.cold is None or container_id not in self._cold_ids:
-            raise KeyError(f"container {container_id} not in repository")
-        return self.cold.get(self.cold_key(container_id))
+        return self.cold.get(self._cold_object(container_id))
 
     def write_image(self, container_id: int, blob: bytes) -> None:
         """Overwrite a container image in place on whichever tier holds it
@@ -246,14 +232,10 @@ class TieredChunkRepository(FileChunkRepository):
             return cached
         if self._hot(container_id):
             return super().fetch(container_id)
-        if self.cold is None or container_id not in self._cold_ids:
-            raise KeyError(f"container {container_id} not in repository")
+        key = self._cold_object(container_id)
         records, data_start = self.fetch_meta(container_id)
         data_len = max((r.offset + r.size for r in records), default=0)
-        data = (
-            self.cold.get_range(self.cold_key(container_id), data_start, data_len)
-            if data_len else b""
-        )
+        data = self.cold.get_range(key, data_start, data_len) if data_len else b""
         if len(data) < data_len:
             raise TornWriteError(
                 f"container {container_id}: cold data section cut short",
@@ -330,7 +312,7 @@ class TieredChunkRepository(FileChunkRepository):
 
     # -- ranged scrub ---------------------------------------------------------
     def verify_cold_payloads(
-        self, container_id: int, max_gap: int = DEFAULT_RANGE_GAP
+        self, container_id: int
     ) -> Tuple[List[PayloadFault], int]:
         """Deep-verify a cold container from byte-range reads.
 
@@ -344,7 +326,7 @@ class TieredChunkRepository(FileChunkRepository):
             Span(data_start + r.offset, r.size, r) for r in records if r.size
         ]
         buf = SegmentBuffer()
-        groups = coalesce(spans, max_gap=max_gap)
+        groups = coalesce(spans, max_gap=RANGE_GAP)
         if groups:
             blobs = self.read_ranges(
                 container_id, [(g.start, g.length) for g in groups]

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
+from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.fingerprint import FINGERPRINT_SIZE, Fingerprint
@@ -44,6 +46,7 @@ from repro.simdisk.clock import barrier
 from repro.telemetry.registry import MetricsRegistry, get_registry
 from repro.telemetry.tracing import trace_span
 from repro.util import bit_prefix
+from repro.storage.reader import ChunkReader
 from repro.storage.repository import ChunkRepository
 
 #: Wire size of one (fingerprint, container ID) result record.
@@ -107,18 +110,6 @@ class ClusterDedup2Stats:
     def psiu_speed(self) -> float:
         """Aggregate PSIU fingerprints per second (Figure 13's metric)."""
         return self.fingerprints_updated / self.psiu_wall_time if self.psiu_wall_time else float("inf")
-
-
-class _ClusterChunkReader:
-    """Adapts the cluster read path to the BackupEngine's restore interface
-    (which expects a ChunkStore-like ``read_chunk``)."""
-
-    def __init__(self, cluster: "DebarCluster", via_server: int) -> None:
-        self._cluster = cluster
-        self._via = via_server
-
-    def read_chunk(self, fp: Fingerprint) -> bytes:
-        return self._cluster.read_chunk(fp, via_server=self._via)
 
 
 class DebarCluster:
@@ -295,7 +286,8 @@ class DebarCluster:
         engine = self._engine(run.job.client)
         entries = self.director.metadata.files_for_run(run_id)
         via = run.server or 0
-        reader = _ClusterChunkReader(self, via)
+        source = SimpleNamespace(read_chunk=partial(self.read_chunk, via_server=via))
+        reader = ChunkReader([(f"server {via}", source)], registry=self.telemetry)
         return engine.restore_run(entries, reader, dest_dir, strip_prefix)
 
     def _engine(self, client: str):

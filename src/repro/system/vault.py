@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.backend.cache import LruMetaCache
 from repro.backend.objectstore import ObjectStoreBackend, RequestProfile
-from repro.backend.planner import ColdChunkReader
+from repro.backend.planner import TieredSource
 from repro.chunking.cdc import ContentDefinedChunker
 from repro.client.backup_client import BackupEngine
 from repro.core.checking import CheckingFile
@@ -42,6 +42,7 @@ from repro.server.chunk_store import ChunkStore
 from repro.server.file_store import FileStore
 from repro.storage.blockstore import FileBlockStore
 from repro.storage.chunk_log import PersistentChunkLog
+from repro.storage.reader import ChunkReader
 from repro.storage.tiered import TieredChunkRepository
 from repro.telemetry.clock import wall_now
 from repro.telemetry.registry import MetricsRegistry, get_registry
@@ -240,19 +241,29 @@ class DebarVault:
         self._attach_cold(config)
         self._save_catalog()
 
-    def cold_reader(self, plan: Optional[List[bytes]] = None, batch: bool = True) -> ColdChunkReader:
-        """A tier-aware chunk reader (hot via the chunk store's LPC, cold
-        via planned multi-range GETs), primed with ``plan`` if given."""
-        reader = ColdChunkReader(
-            self.repository,
-            self.tpds.index,
-            self.chunk_store,
-            batch=batch,
-            registry=self.telemetry,
+    def reader(self, plan=None, fallbacks=()):
+        """The vault's chunk reader — the one place the tier is decided.
+
+        Hot-only and nothing to fall through to: the bare chunk store (the
+        LPC is the planner there; no layer is added to the hot path).
+        With a cold tier: hot chunks still flow through the LPC, cold
+        chunks through planned, coalesced multi-range GETs, primed with
+        ``plan`` (the fingerprint sequence about to be read).
+        ``fallbacks`` are further named sources tried in order after the
+        local store — a dead cold backend raises ``OSError`` and falls
+        through to them like any other miss.
+        """
+        local = self.chunk_store
+        if self.repository.cold is not None:
+            local = TieredSource(
+                self.repository, self.tpds.index, self.chunk_store,
+                registry=self.telemetry,
+            )
+        elif not fallbacks:
+            return local
+        return ChunkReader(
+            [("local vault", local), *fallbacks], plan, registry=self.telemetry
         )
-        if plan is not None:
-            reader.plan(plan)
-        return reader
 
     # -- index superblock ---------------------------------------------------------
     def _read_index_generation(self) -> int:
@@ -447,40 +458,67 @@ class DebarVault:
             self._index_store = index.store
             self._save_catalog()
 
+    def _find_run(self, run_id: int, job: Optional[str] = None) -> dict:
+        """The catalog payload of run ``run_id`` (the one run-by-id scan),
+        optionally pinned to one job's chain."""
+        for payload in self._catalog["runs"]:
+            if payload["run_id"] == run_id and (job is None or payload["job"] == job):
+                return payload
+        scope = f"job {job!r}" if job else "this vault"
+        raise VaultError(f"no run {run_id} for {scope}")
+
+    def run_entries(
+        self, run_id: int, job: Optional[str] = None
+    ) -> List[FileIndexEntry]:
+        """The file indices of a recorded run (what ``META_GET`` serves)."""
+        return self._load_run(self._find_run(run_id, job)).files
+
     def restore(
         self,
         run_id: int,
         dest: PathLike,
         strip_prefix: PathLike = "/",
         job: Optional[str] = None,
+        fallbacks=(),
     ) -> List[Path]:
         """Restore every file of a recorded run into ``dest``.
 
         ``job`` narrows the lookup to that job's chain — run ids are
-        only unique per vault, so cluster callers qualify them.
+        only unique per vault, so cluster callers qualify them;
+        ``fallbacks`` are chunk sources behind the local store (see
+        :meth:`reader`).
         """
-        for payload in self._catalog["runs"]:
-            if payload["run_id"] == run_id and (job is None or payload["job"] == job):
-                run = self._load_run(payload)
-                break
-        else:
-            scope = f"job {job!r}" if job else "this vault"
-            raise VaultError(f"no run {run_id} for {scope}")
-        source = self.chunk_store
-        if self.repository.cold is not None:
-            # Cold-capable reader: hot chunks still flow through the LPC,
-            # cold chunks through planned, coalesced multi-range GETs.
-            source = self.cold_reader(
-                [fp for e in run.files for fp in e.fingerprints]
-            )
+        entries = self.run_entries(run_id, job=job)
+        reader = self.reader((fp for e in entries for fp in e.fingerprints), fallbacks)
         with trace_span("restore", sim_clock=self.tpds.clock, run_id=run_id) as span:
-            paths = self.engine.restore_run(
-                run.files, source, dest, strip_prefix
-            )
-            span.set_io(bytes_out=sum(e.metadata.size for e in run.files))
+            paths = self.engine.restore_run(entries, reader, dest, strip_prefix)
+            span.set_io(bytes_out=sum(e.metadata.size for e in entries))
             span.annotate(files=len(paths))
         self._t_restores.inc()
         return paths
+
+    def restore_as_of(
+        self,
+        as_of: int,
+        dest: PathLike,
+        strip_prefix: PathLike = "/",
+        job: Optional[str] = None,
+        origin: Optional[str] = None,
+    ) -> List[Path]:
+        """Point-in-time restore (DESIGN.md §15.5): the live catalog when
+        it still records the run (the same bytes, without folding a delta
+        chain), else the archived chain under ``<vault>/archive``."""
+        try:
+            self._find_run(as_of, job)
+        except VaultError:
+            from repro.archive import ArchiveStore, restore_local
+
+            store = ArchiveStore(self.root / "archive", registry=self.telemetry)
+            return restore_local(
+                store, as_of, dest, strip_prefix, job=job, origin=origin,
+                registry=self.telemetry,
+            )
+        return self.restore(as_of, dest, strip_prefix=strip_prefix, job=job)
 
     def verify(self, deep: bool = False) -> Dict[str, int]:
         """Integrity check: every catalogued fingerprint must resolve.
@@ -509,7 +547,10 @@ class DebarVault:
                         )
                     checked += 1
                     if deep and fp not in verified_payload:
-                        container = self.repository.fetch(cid)
+                        try:
+                            container = self.repository.fetch(cid)
+                        except KeyError:
+                            container = ()  # a missing container holds nothing
                         if fp not in container:
                             raise CorruptionError(
                                 f"index points fingerprint {h[:12]} at container "
@@ -551,12 +592,10 @@ class DebarVault:
         exact with no byte comparison.
         """
         def files_of(run_id: int) -> Dict[str, tuple]:
-            for payload in self._catalog["runs"]:
-                if payload["run_id"] == run_id:
-                    return {
-                        f["path"]: tuple(f["fingerprints"]) for f in payload["files"]
-                    }
-            raise VaultError(f"no run {run_id} in this vault")
+            return {
+                f["path"]: tuple(f["fingerprints"])
+                for f in self._find_run(run_id)["files"]
+            }
 
         a, b = files_of(run_a), files_of(run_b)
         return {
@@ -596,14 +635,8 @@ class DebarVault:
         sweep.  ``job`` pins the (per-vault) run id to one job's chain so
         a cluster-routed forget cannot delete an unrelated job's run.
         """
-        runs = self._catalog["runs"]
-        for i, payload in enumerate(runs):
-            if payload["run_id"] == run_id and (job is None or payload["job"] == job):
-                del runs[i]
-                self._save_catalog()
-                return
-        scope = f"job {job!r}" if job else "this vault"
-        raise VaultError(f"no run {run_id} for {scope}")
+        self._catalog["runs"].remove(self._find_run(run_id, job))
+        self._save_catalog()
 
     def live_fingerprints(self) -> set:
         """Fingerprints referenced by any catalogued run."""

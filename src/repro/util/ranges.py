@@ -1,30 +1,37 @@
-"""Adjacent-range coalescing shared by every batched read planner.
+"""Adjacent-range coalescing for batched ranged reads.
 
-Two planners in the tree batch adjacent work items into one request:
+Two readers in the tree turn many small reads of one container into a few
+ranged requests:
 
-* the cold-tier read planner (:mod:`repro.backend.planner`) coalesces
-  adjacent chunk byte ranges inside a container into multi-range GETs;
-* :class:`repro.net.client.RemoteChunkReader` groups consecutive planned
-  fingerprints into one batched ``CHUNK_READ``.
+* the tiered chunk source (:mod:`repro.backend.planner`) coalesces the
+  payload ranges of upcoming planned chunks into one multi-range GET;
+* the ranged cold scrub
+  (:meth:`repro.storage.tiered.TieredChunkRepository.verify_cold_payloads`)
+  verifies a cold container without downloading its padding.
 
 Both reduce to the same question — *which spans of a sorted sequence are
 close enough to fetch together?* — so the grouping lives here once, with
-its own unit tests, and the two planners cannot drift.
+its own unit tests.
 
-A :class:`Span` is ``(start, length, item)`` in whatever coordinate the
-caller batches over (byte offsets for range GETs, plan indices for wire
-batches).  :func:`coalesce` groups sorted spans while the gap to the next
-span stays within ``max_gap`` and the group stays under its caps; a group's
-``start``/``end`` give the single fetch that covers every member (gap bytes
-included — deliberate over-fetch that trades waste for request count).
+A :class:`Span` is ``(start, length, item)`` on the batching axis (byte
+offsets for range GETs).  :func:`coalesce` groups sorted spans while the
+gap to the next span stays within ``max_gap`` and the group stays under its
+caps; a group's ``start``/``end`` give the single fetch that covers every
+member (gap bytes included — deliberate over-fetch that trades waste for
+request count).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generic, Iterable, List, Optional, Sequence, TypeVar
+from typing import Generic, Iterable, List, Optional, TypeVar
 
 T = TypeVar("T")
+
+#: Adjacent payload ranges closer than this are coalesced into one range
+#: of a multi-range GET — fetching a small gap is cheaper than the
+#: per-range overhead of splitting around it.
+RANGE_GAP = 4096
 
 
 @dataclass(frozen=True)
@@ -113,37 +120,6 @@ def coalesce(
             current.spans.append(span)
             current_end = max(current_end, span.end)
     return groups
-
-
-def leading_run(
-    spans: Sequence[Span[T]],
-    *,
-    max_gap: int = 0,
-    max_items: Optional[int] = None,
-    max_span: Optional[int] = None,
-) -> List[Span[T]]:
-    """The first coalesced group of an *already ordered* sequence.
-
-    This is the wire planner's shape: from the current plan position,
-    batch the run of consecutive entries — stop at the first break in
-    adjacency or at the caps.  Returns ``[]`` for an empty sequence.
-    """
-    members: List[Span[T]] = []
-    end = 0
-    start = 0
-    for span in spans:
-        if members:
-            if span.start > end + max_gap:
-                break
-            if max_items is not None and len(members) >= max_items:
-                break
-            if max_span is not None and max(end, span.end) - start > max_span:
-                break
-            end = max(end, span.end)
-        else:
-            start, end = span.start, span.end
-        members.append(span)
-    return members
 
 
 class SegmentBuffer:

@@ -13,12 +13,12 @@ from repro.backend.objectstore import BackendFaultRule
 from repro.durability.fsshim import flip_byte_on_disk
 from repro.durability.scrubber import Scrubber
 from repro.net import messages as m
-from repro.net.client import NetClient, RemoteChunkReader, RetryPolicy
+from repro.net.client import NetClient, RetryPolicy, WireSource
 from repro.net.server import serve_vault
-from repro.replication.failover import FailoverChunkReader
 from repro.replication.rebuild import rebuild_node
 from repro.replication.replicator import Replicator
 from repro.storage.container import FRAMED_META_FIXED, Container
+from repro.storage.reader import ChunkReader
 from repro.system import DebarVault
 from repro.telemetry.registry import MetricsRegistry
 from repro.workloads import FileTreeGenerator
@@ -206,17 +206,21 @@ class TestColdRestore:
         fps = run_fingerprints(vault, run.run_id)
         backend = vault.repository.cold
 
-        def read_all(batch):
-            reader = vault.cold_reader(fps, batch=batch)
+        def read_all(plan):
+            reader = vault.reader(plan)
             before = backend.requests_issued
             blobs = [reader.read_chunk(fp) for fp in fps]
             return blobs, backend.requests_issued - before
 
-        # Batched first: it pays any cold metadata fetches, the unbatched
-        # pass then rides the warm cache — a conservative comparison.
-        batched_blobs, batched = read_all(batch=True)
-        unbatched_blobs, unbatched = read_all(batch=False)
+        # Primed first: it pays any cold metadata fetches, the unprimed
+        # pass (the per-chunk baseline) then rides the warm cache — a
+        # conservative comparison.
+        batched_blobs, batched = read_all(fps)
+        unbatched_blobs, unbatched = read_all(None)
         assert batched_blobs == unbatched_blobs
+        # Unprimed is exactly one ranged GET per distinct cold chunk (a
+        # repeated fingerprint is served from what was already fetched).
+        assert unbatched == len(set(fps))
         assert unbatched >= 2 * batched
 
     def test_meta_cache_absorbs_repeat_meta_reads(self, cold_vault, tmp_path):
@@ -271,7 +275,7 @@ class TestColdScrub:
         replica = open_vault(tmp_path, "replica")
         replica.backup("docs", [tmp_path / "src"])
         cid, _fp, _payload = flip_cold_byte(vault)
-        report = Scrubber(vault, peers=[replica.chunk_store]).run(repair=True)
+        report = Scrubber(vault, peers=[("replica", replica.chunk_store)]).run(repair=True)
         assert report.repaired == 1 and report.unrepaired == 0
         assert vault.repository.tier_of(cid) == "cold"
         dest = tmp_path / "out"
@@ -291,7 +295,7 @@ class TestColdScrub:
         cid, _fp, _payload = flip_cold_byte(
             vault, offset_fn=lambda c: FRAMED_META_FIXED + 4
         )
-        report = Scrubber(vault, peers=[replica.chunk_store]).run(repair=True)
+        report = Scrubber(vault, peers=[("replica", replica.chunk_store)]).run(repair=True)
         assert report.corrupt_found == 1 and report.repaired == 1
         # Forensics copy parked in the bucket, healed object back in place
         # on the same tier.
@@ -376,14 +380,14 @@ class TestColdCluster:
     def test_remote_restore_from_cold_daemon(self, cold_vault, tmp_path):
         vault, run, _ = cold_vault
         fps = run_fingerprints(vault, run.run_id)
-        expected = [vault.cold_reader(fps).read_chunk(fp) for fp in fps]
+        local = vault.reader(fps)
+        expected = [local.read_chunk(fp) for fp in fps]
         server = start_daemon(vault, "a")
         client = NetClient(
             server.host, server.port, client_name="t", retry=FAST_RETRY
         )
         try:
-            reader = RemoteChunkReader(client)
-            reader.plan(fps)
+            reader = ChunkReader([("a", WireSource(client))], fps)
             assert [reader.read_chunk(fp) for fp in fps] == expected
         finally:
             client.close()
@@ -437,7 +441,8 @@ class TestColdCluster:
     def test_failover_when_cold_backend_is_down(self, cold_vault, tmp_path):
         vault, run, _ = cold_vault
         fps = run_fingerprints(vault, run.run_id)
-        expected = [vault.cold_reader(fps).read_chunk(fp) for fp in fps]
+        local = vault.reader(fps)
+        expected = [local.read_chunk(fp) for fp in fps]
         replica = open_vault(tmp_path, "replica")
         replica.backup("docs", [tmp_path / "src"])
         # Every cold request now fails until the retry budget exhausts;
@@ -448,11 +453,7 @@ class TestColdCluster:
         backend.faults.append(
             BackendFaultRule(op="*", kind="transient", times=None)
         )
-        reader = FailoverChunkReader(
-            [("local vault", vault.cold_reader(fps)),
-             ("replica", replica.chunk_store)],
-            registry=vault.telemetry,
-        )
+        reader = vault.reader(fps, fallbacks=[("replica", replica.chunk_store)])
         got = [reader.read_chunk(fp) for fp in fps]
         assert got == expected
         assert reader.last_source == "replica"

@@ -13,6 +13,7 @@ from repro.core.disk_index import (
     pack_bucket,
     unpack_bucket,
 )
+from repro.durability.errors import CorruptionError
 from repro.storage import FileBlockStore
 from tests.conftest import make_fps
 
@@ -51,6 +52,35 @@ class TestSerialization:
         entries = [(fp, 0) for fp in make_fps(21)]
         with pytest.raises(ValueError):
             pack_bucket(entries, 512)
+
+    def test_checksummed_roundtrip_and_crc_damage(self):
+        entries = [(fp, i) for i, fp in enumerate(make_fps(5))]
+        blob = pack_bucket(entries, 512, checksum=True)
+        assert unpack_bucket(blob, checksummed=True) == entries
+        rotted = bytearray(blob)
+        rotted[10] ^= 0x01
+        with pytest.raises(CorruptionError, match="CRC mismatch"):
+            unpack_bucket(bytes(rotted), checksummed=True)
+
+    def test_checksummed_slot_without_a_trailer_is_corruption(self):
+        # Regression: a damaged trailer magic used to read as "legacy slot,
+        # no checksum", switching verification off for that bucket — so
+        # damage to an entry in the same slot went unnoticed.
+        entries = [(fp, i) for i, fp in enumerate(make_fps(5))]
+        blob = bytearray(pack_bucket(entries, 512, checksum=True))
+        blob[-8] ^= 0x01  # one bit of the trailer magic
+        blob[10] ^= 0xFF  # and an entry byte
+        with pytest.raises(CorruptionError, match="trailer missing") as exc:
+            unpack_bucket(bytes(blob), checksummed=True)
+        assert exc.value.artifact == "index"
+        # An unchecksummed slot (memory-store index) has no trailer at all.
+        with pytest.raises(CorruptionError):
+            unpack_bucket(pack_bucket(entries, 512), checksummed=True)
+        assert unpack_bucket(pack_bucket(entries, 512)) == entries
+
+    def test_all_zero_slot_is_an_empty_bucket(self):
+        assert unpack_bucket(bytes(512), checksummed=True) == []
+        assert unpack_bucket(bytes(512)) == []
 
 
 class TestConstruction:
@@ -94,6 +124,24 @@ class TestConstruction:
         assert len(index2) == 25
         for i, fp in enumerate(fps):
             assert index2.lookup(fp) == i
+
+    def test_file_backed_trailer_damage_raises_on_read(self, tmp_path):
+        path = tmp_path / "rot.bin"
+        store = FileBlockStore(path, 16 * 512)
+        index = DiskIndex(4, bucket_bytes=512, store=store)
+        fp = make_fps(1)[0]
+        k = index.insert(fp, 7)
+        store.flush()
+        store.close()
+        blob = bytearray(path.read_bytes())
+        blob[(k + 1) * 512 - 8] ^= 0x01  # one bit of bucket k's trailer magic
+        path.write_bytes(bytes(blob))
+        reopened = DiskIndex(4, bucket_bytes=512, store=FileBlockStore(path, 16 * 512))
+        with pytest.raises(CorruptionError, match=f"bucket {k} trailer missing") as exc:
+            reopened.lookup(fp)
+        assert exc.value.offset == k * 512
+        # Never-written (all-zero) buckets still read as empty.
+        assert reopened.read_bucket((k + 2) % 16).entries == []
 
     def test_too_small_store_rejected(self, tmp_path):
         store = FileBlockStore(tmp_path / "small.bin", 512)

@@ -34,13 +34,14 @@ from repro.net import messages as m
 from repro.net.client import (
     NetClient,
     RemoteBackupClient,
-    RemoteChunkReader,
     RemoteError,
     RetryPolicy,
+    WireSource,
 )
 from repro.net.framing import Frame
 from repro.net.server import serve_vault
 from repro.replication.replicator import Replicator
+from repro.storage.reader import ChunkReader
 from repro.replication.ring import PlacementRing
 from repro.system.vault import DebarVault
 from repro.telemetry.registry import MetricsRegistry
@@ -311,8 +312,10 @@ class TestProxy:
             # ...then the owner dies before any chunk is read (the
             # deterministic worst case of a SIGKILL mid-restore).
             cluster.kill("a")
-            reader = RemoteChunkReader(client.net)
-            reader.plan([fp for e in entries for fp in e.fingerprints])
+            reader = ChunkReader(
+                [("router", WireSource(client.net))],
+                [fp for e in entries for fp in e.fingerprints],
+            )
             dest = tmp_path / "restore"
             client.engine.restore_run(entries, reader, dest, "/")
             assert dataset_bytes(dest) == dataset_bytes(data)

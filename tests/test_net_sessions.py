@@ -18,15 +18,17 @@ import pytest
 
 from repro.net import messages as m
 from repro.net.client import (
+    READ_BATCH,
     NetClient,
     RemoteBackupClient,
-    RemoteChunkReader,
     RemoteError,
     RemoteUnavailable,
     RetryPolicy,
+    WireSource,
 )
 from repro.net.faults import inject_frames
 from repro.net.server import TenantConfig, serve_vault
+from repro.storage.reader import ChunkReader
 from repro.system.vault import DebarVault
 from repro.telemetry.registry import MetricsRegistry
 
@@ -293,7 +295,7 @@ class TestReadAheadRegression:
         # degraded every later planned read to one RPC per chunk.  The
         # RPC counts prove the plan survives.
         with serving(tmp_path) as (vault, server):
-            data = write_dataset(tmp_path, n_files=2, size=150_000, seed=3)
+            data = write_dataset(tmp_path, n_files=2, size=1_200_000, seed=3)
             with RemoteBackupClient(
                 "127.0.0.1", server.port, retry=FAST_RETRY
             ) as rc:
@@ -305,11 +307,9 @@ class TestReadAheadRegression:
                     fp for fp in by_file["f1.bin"].fingerprints
                     if fp not in set(planned)
                 )
-                assert len(planned) >= 3, "dataset too small to chunk"
+                assert len(planned) > READ_BATCH, "dataset fits one batch"
 
-                batch = 2
-                reader = RemoteChunkReader(rc.net, batch=batch)
-                reader.plan(planned)
+                reader = ChunkReader([("server", WireSource(rc.net))], planned)
                 calls = {"chunk_read": 0}
                 original_call = rc.net.call
 
@@ -325,10 +325,10 @@ class TestReadAheadRegression:
                 # ... then the planned sequential restore still batches.
                 for fp in planned:
                     assert reader.read_chunk(fp)
-                expected = 1 + math.ceil(len(planned) / batch)
+                expected = 1 + math.ceil(len(planned) / READ_BATCH)
                 assert calls["chunk_read"] == expected, (
                     f"{calls['chunk_read']} CHUNK_READ RPCs for "
-                    f"{len(planned)} planned chunks (batch={batch}); "
+                    f"{len(planned)} planned chunks (batch={READ_BATCH}); "
                     "the off-plan read burned the plan"
                 )
 

@@ -1,10 +1,9 @@
-"""Tests for the shared adjacency-coalescing geometry (repro.util.ranges)
-used by both the cold-tier read planner (byte ranges) and the wire
-reader's batch windows (plan indices)."""
+"""Tests for the adjacency-coalescing geometry (repro.util.ranges) used
+by the tiered chunk source and the ranged cold scrub (byte ranges)."""
 
 import pytest
 
-from repro.util.ranges import SegmentBuffer, Span, coalesce, leading_run
+from repro.util.ranges import SegmentBuffer, Span, coalesce
 
 
 def spans(*triples):
@@ -63,24 +62,6 @@ class TestCoalesce:
         assert [g.length for g in groups] == [20, 10]
 
 
-class TestLeadingRun:
-    def test_takes_only_the_leading_adjacent_run(self):
-        run = leading_run(spans((0, 1, "a"), (1, 1, "b"), (5, 1, "c")))
-        assert [s.item for s in run] == ["a", "b"]
-
-    def test_single_span(self):
-        assert len(leading_run(spans((7, 1, "x")))) == 1
-
-    def test_empty(self):
-        assert leading_run([]) == []
-
-    def test_max_items(self):
-        run = leading_run(
-            spans((0, 1, 0), (1, 1, 1), (2, 1, 2)), max_items=2
-        )
-        assert len(run) == 2
-
-
 class TestSegmentBuffer:
     def test_read_within_segment(self):
         buf = SegmentBuffer()
@@ -118,9 +99,9 @@ class TestSegmentBuffer:
 
 class TestSharedGeometry:
     def test_byte_ranges_and_plan_indices_use_one_shape(self):
-        # The wire reader models plan positions as unit-length spans; the
-        # cold planner models payload byte ranges.  Same grouping.
+        # Unit-length spans (positions) and payload byte ranges group the
+        # same way: the geometry does not care what the axis measures.
         plan = spans((3, 1, "fp3"), (4, 1, "fp4"), (9, 1, "fp9"))
         byte_ranges = spans((300, 100, "r0"), (400, 100, "r1"), (900, 10, "r2"))
-        assert [s.item for s in leading_run(plan)] == ["fp3", "fp4"]
+        assert [g.items for g in coalesce(plan)] == [["fp3", "fp4"], ["fp9"]]
         assert [len(g) for g in coalesce(byte_ranges)] == [2, 1]

@@ -18,14 +18,14 @@ import pytest
 
 from repro.durability.scrubber import Scrubber
 from repro.net import messages as m
-from repro.net.client import NetClient, RemoteError, RetryPolicy
-from repro.replication.failover import FailoverChunkReader, ReplicaReader
+from repro.net.client import NetClient, RemoteError, RetryPolicy, WireSource
 from repro.replication.rebuild import RebuildError, rebuild_node
 from repro.replication.replicator import Replicator, peers_from_state
 from repro.replication.ring import PlacementRing
 from repro.replication.store import ReplicaStore, ReplicaStoreError
 from repro.net.server import serve_vault
 from repro.storage.container import ContainerWriter
+from repro.storage.reader import ChunkReader
 from repro.system.vault import DebarVault
 from repro.telemetry.registry import MetricsRegistry
 
@@ -309,7 +309,9 @@ class TestFailoverReads:
         data = write_dataset(tmp_path)
         run = vault_a.backup("j", [str(data)])
         assert replicator.drain(timeout=10.0)
-        reader = ReplicaReader(server_b.host, server_b.port, name="b")
+        reader = ChunkReader(
+            [("b", WireSource.dial(server_b.host, server_b.port, "b"))]
+        )
         try:
             for entry in run.files:
                 for fp in entry.fingerprints:
@@ -327,10 +329,10 @@ class TestFailoverReads:
             def read_chunk(self, fp):
                 raise OSError("node a is gone")
 
-        reader = FailoverChunkReader(
+        reader = ChunkReader(
             [
                 ("a", DeadPrimary()),
-                ("b", ReplicaReader(server_b.host, server_b.port, name="b")),
+                ("b", WireSource.dial(server_b.host, server_b.port, "b")),
             ],
             registry=registry,
         )
@@ -354,15 +356,12 @@ class TestFailoverReads:
         victim = vault_a.repository.container_ids()[0]
         vault_a.fs.unlink(vault_a.repository.path_for(victim))
         vault_a.repository.invalidate(victim)
-        reader = FailoverChunkReader(
-            [
-                ("a", vault_a.chunk_store),
-                ("b", ReplicaReader(server_b.host, server_b.port, name="b")),
-            ]
+        reader = vault_a.reader(
+            [fp for e in run.files for fp in e.fingerprints],
+            fallbacks=[("b", WireSource.dial(server_b.host, server_b.port, "b"))],
         )
         dest = tmp_path / "restore"
         try:
-            reader.plan([fp for e in run.files for fp in e.fingerprints])
             paths = vault_a.engine.restore_run(run.files, reader, dest, "/")
         finally:
             reader.close()
@@ -372,13 +371,89 @@ class TestFailoverReads:
                 data / f"f{i}.bin"
             ).read_bytes()
 
+    def test_planned_restore_across_disjoint_replicas(self, tmp_path):
+        # Regression: three nodes, RF=2, origin "a" dead.  Every container
+        # went to exactly one of b/c, so each replica holds only part of
+        # the data.  A *planned* restore used to fail with ``KeyError: …
+        # unavailable on all 3 sources``: the first look-ahead window that
+        # spanned containers placed on different replicas made b refuse
+        # the whole batch (a daemon fails a batch on any miss), the
+        # single-fingerprint retry was never reached, and c did not hold
+        # the chunk.  A miss also dropped the plan, so surviving reads paid
+        # one RPC per chunk.  Now a source serves what it can and a miss
+        # keeps the plan: byte-identical, in fewer RPCs than chunks.
+        vault_b, vault_c = DebarVault(tmp_path / "b"), DebarVault(tmp_path / "c")
+        server_b, server_c = start_daemon(vault_b, "b"), start_daemon(vault_c, "c")
+        vault_a = DebarVault(tmp_path / "a", container_bytes=128 * 1024)
+        replicator = Replicator(
+            vault_a, "a",
+            {"b": (server_b.host, server_b.port), "c": (server_c.host, server_c.port)},
+            replication_factor=2, retry=FAST_RETRY,
+        )
+        vault_a.replicator = replicator
+        registry = MetricsRegistry()
+        try:
+            data = tmp_path / "data"
+            data.mkdir()
+            rng = random.Random(5)
+            for i in range(6):
+                (data / f"f{i}.bin").write_bytes(rng.randbytes(300_000))
+            run = vault_a.backup("j", [str(data)])
+            assert replicator.drain(timeout=20.0)
+            held = {
+                name: set(server.replica_store.container_ids("a"))
+                for name, server in (("b", server_b), ("c", server_c))
+            }
+            assert held["b"] and held["c"] and not held["b"] & held["c"]
+            assert held["b"] | held["c"] == set(vault_a.repository.container_ids())
+
+            class DeadPrimary:
+                def read_chunk(self, fp):
+                    raise OSError("node a is gone")
+
+            plan = [fp for e in run.files for fp in e.fingerprints]
+            reader = ChunkReader(
+                [("a", DeadPrimary())] + [
+                    (name, WireSource(
+                        NetClient(s.host, s.port, retry=FAST_RETRY, registry=registry),
+                        owns_net=True,
+                    ))
+                    for name, s in (("b", server_b), ("c", server_c))
+                ],
+                plan,
+                registry=registry,
+            )
+            dest = tmp_path / "restore"
+            try:
+                vault_a.engine.restore_run(run.files, reader, dest, "/")
+            finally:
+                reader.close()
+            for i in range(6):
+                assert restored_bytes(dest, f"f{i}.bin") == (
+                    data / f"f{i}.bin"
+                ).read_bytes()
+            rpcs = registry.value("net.requests", type="chunk_read")
+            assert 0 < rpcs < len(plan), (
+                f"{rpcs:.0f} CHUNK_READs for {len(plan)} chunks: "
+                "the plan bought nothing"
+            )
+            assert registry.value("repl.failovers", missed="a", served="b") > 0
+            assert registry.value("repl.failovers", missed="a", served="c") > 0
+        finally:
+            replicator.close(drain=False, timeout=1.0)
+            for server in (server_b, server_c):
+                server.shutdown()
+                server.server_close()
+            for vault in (vault_a, vault_b, vault_c):
+                vault.close()
+
     def test_all_sources_failing_raises_keyerror(self):
         class Dead:
             def read_chunk(self, fp):
                 raise KeyError("nope")
 
-        reader = FailoverChunkReader([("x", Dead()), ("y", Dead())])
-        with pytest.raises(KeyError):
+        reader = ChunkReader([("x", Dead()), ("y", Dead())])
+        with pytest.raises(KeyError, match="all 2 sources"):
             reader.read_chunk(b"\x00" * 20)
 
 
@@ -400,9 +475,9 @@ class TestScrubHealsFromReplicas:
         blob[at] ^= 0xFF
         vault_a.fs.write_file(path, bytes(blob))
         vault_a.repository.invalidate(cid)
-        peer = ReplicaReader(server_b.host, server_b.port, name="b")
+        peer = WireSource.dial(server_b.host, server_b.port, "b")
         try:
-            report = Scrubber(vault_a, peers=[peer]).run(repair=True)
+            report = Scrubber(vault_a, peers=[("b", peer)]).run(repair=True)
         finally:
             peer.close()
         assert report.corrupt_found >= 1

@@ -47,6 +47,18 @@ def flip_container_magic(vault_dir, which=0):
     return int(victim.stem, 16)
 
 
+def flip_bucket_trailer_and_entry(vault, fp):
+    """Flip one bit of the trailer magic of ``fp``'s home bucket in
+    ``index.bin`` *and* the low byte of its first entry's container id
+    (the first entry's cid starts 4 + 20 bytes into the slot)."""
+    index = vault.tpds.index
+    k = index.bucket_number(fp)
+    path = vault.root / "index.bin"
+    flip_byte_on_disk(path, (k + 1) * index.bucket_bytes - 8, 0x01)
+    flip_byte_on_disk(path, k * index.bucket_bytes + 24, 0xFF)
+    return k
+
+
 def read_tree(root):
     return {
         p.relative_to(root): p.read_bytes()
@@ -135,8 +147,43 @@ class TestDetection:
         assert finding.artifact == "index"
         assert finding.offset == k * index.bucket_bytes
 
+    def test_detects_bucket_trailer_magic_flip(self, tmp_path, capsys):
+        # Regression (ROADMAP 3c): one flipped bit in a bucket's trailer
+        # magic made the slot read as "legacy, no checksum", so damage to
+        # an entry in the same bucket scrubbed CLEAN and `verify --deep`
+        # later died on a dangling container id.
+        vault = open_vault(tmp_path)
+        run = vault.backup("docs", [make_tree(tmp_path / "src")])
+        vault.close()
+        k = flip_bucket_trailer_and_entry(vault, run.files[0].fingerprints[0])
+        reopened = open_vault(tmp_path)
+        report = Scrubber(reopened).run()
+        assert not report.clean and report.corrupt_found == 1
+        finding = report.findings[0]
+        assert finding.artifact == "index"
+        assert finding.offset == k * reopened.tpds.index.bucket_bytes
+        reopened.close()
+        assert main(["scrub", "--vault", str(tmp_path / "vault")]) == 3
+        capsys.readouterr()
+        assert main(["verify", "--vault", str(tmp_path / "vault"), "--deep"]) == 3
+        assert "corruption" in capsys.readouterr().err
+
 
 class TestRepair:
+    def test_repairs_bucket_with_damaged_trailer(self, tmp_path):
+        vault = open_vault(tmp_path)
+        run = vault.backup("docs", [make_tree(tmp_path / "src")])
+        vault.close()
+        fp = run.files[0].fingerprints[0]
+        flip_bucket_trailer_and_entry(vault, fp)
+        reopened = open_vault(tmp_path)
+        report = Scrubber(reopened).run(repair=True)
+        assert report.repaired == 1 and report.unrepaired == 0
+        assert report.entries_reinserted >= 1
+        assert reopened.tpds.index.lookup(fp) is not None
+        assert Scrubber(reopened).run().clean
+        assert reopened.verify(deep=True)["payloads_verified"] > 0
+
     def test_repairs_container_from_chunk_log(self, tmp_path):
         src = make_tree(tmp_path / "src")
         before = read_tree(src)
@@ -202,7 +249,7 @@ class TestRepair:
         vault.repository.invalidate(cid)
         # Any object with read_chunk(fp) serves as a repair peer; the
         # local ChunkStore of a replica vault is exactly that shape.
-        report = Scrubber(vault, peers=[replica.chunk_store]).run(repair=True)
+        report = Scrubber(vault, peers=[("replica", replica.chunk_store)]).run(repair=True)
         assert report.repaired == 1 and report.unrepaired == 0
         dest = tmp_path / "out"
         vault.restore(run.run_id, dest, strip_prefix=tmp_path)
@@ -471,7 +518,7 @@ class TestMediaFaultDrill:
             fs=LocalFs(),
             auto_recover=False,
         )
-        report = Scrubber(damaged, peers=[replica.chunk_store]).run(repair=True)
+        report = Scrubber(damaged, peers=[("replica", replica.chunk_store)]).run(repair=True)
         artifacts = {f.artifact for f in report.findings}
         assert artifacts == {"container", "chunk log", "index"}
         assert report.corrupt_found >= 3

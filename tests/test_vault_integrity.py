@@ -51,6 +51,20 @@ class TestDeepVerify:
         assert exc.value.artifact == "index"
         assert exc.value.fingerprint == fp
 
+    def test_deep_reports_index_entry_pointing_at_a_missing_container(self, tmp_path):
+        # Regression: a dangling container id (a rotted index entry that
+        # slipped past a damaged bucket trailer) surfaced as an uncaught
+        # KeyError traceback instead of typed corruption (CLI exit 3).
+        vault, src = fresh_vault(tmp_path)
+        run = vault.backup("docs", [src])
+        fp = run.files[0].fingerprints[0]
+        assert vault.tpds.index.update(fp, 255)
+        with pytest.raises(CorruptionError, match="does not hold it") as exc:
+            vault.verify(deep=True)
+        assert exc.value.artifact == "index"
+        assert exc.value.container_id == 255
+        assert exc.value.fingerprint == fp
+
 
 class TestDiff:
     def test_diff_categories(self, tmp_path):
