@@ -56,9 +56,7 @@ def _build_cold_vault(root, registry, scale):
 
 
 def _run_fingerprints(vault, run_id):
-    payload = next(r for r in vault._catalog["runs"] if r["run_id"] == run_id)
-    run = vault._load_run(payload)
-    return [fp for entry in run.files for fp in entry.fingerprints]
+    return [fp for entry in vault.run_entries(run_id) for fp in entry.fingerprints]
 
 
 def _restore_pass(vault, fps, plan):

@@ -34,9 +34,8 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.director.metadata import FileIndexEntry, FileMetadata
 from repro.durability.errors import CorruptionError, TornWriteError
 from repro.durability.framing import (
     Superblock,
@@ -44,13 +43,14 @@ from repro.durability.framing import (
     scan_frames,
     unpack_superblock,
 )
+from repro.system.catalog import VaultError, entry_fingerprints, entry_to_doc
 
 #: Superblock artifact kind stamped into delta objects.
 KIND_DELTA = b"DLTA"
 
 _FP_LEN = struct.Struct("<I")
 
-#: A recipe entry, catalog-shaped: path/size/mode/mtime/fingerprints(hex).
+#: A recipe entry, catalog-shaped (:func:`repro.system.catalog.entry_to_doc`).
 Entry = Dict[str, object]
 #: A recipe: path -> entry.  A diff maps path -> entry-or-None (removed).
 Recipe = Dict[str, Entry]
@@ -79,37 +79,14 @@ class Delta:
         return sum(len(d) for d in self.chunks.values())
 
 
-def entry_of(e: FileIndexEntry) -> Entry:
-    """A catalog-shaped entry dict for one file index entry."""
-    return {
-        "path": e.metadata.path,
-        "size": e.metadata.size,
-        "mode": e.metadata.mode,
-        "mtime": e.metadata.mtime,
-        "fingerprints": [fp.hex() for fp in e.fingerprints],
-    }
-
-
-def index_entry(entry: Entry) -> FileIndexEntry:
-    """The inverse of :func:`entry_of`."""
-    return FileIndexEntry(
-        FileMetadata(
-            path=str(entry["path"]),
-            size=int(entry["size"]),
-            mode=int(entry["mode"]),
-            mtime=float(entry["mtime"]),
-        ),
-        [bytes.fromhex(h) for h in entry["fingerprints"]],
-    )
-
-
-def entry_fps(entry: Entry) -> List[bytes]:
-    return [bytes.fromhex(h) for h in entry["fingerprints"]]
+def recipe_of(entries) -> Recipe:
+    """The recipe of a run's file index entries."""
+    return {e.metadata.path: entry_to_doc(e) for e in entries}
 
 
 def recipe_fps(recipe: Recipe) -> set:
     """Every fingerprint any entry of a recipe references."""
-    return {fp for entry in recipe.values() for fp in entry_fps(entry)}
+    return {fp for entry in recipe.values() for fp in entry_fingerprints(entry)}
 
 
 def fold(recipe: Recipe, delta: Delta) -> Recipe:
@@ -144,11 +121,11 @@ def cut_delta(
     """
     base_recipe: Optional[Recipe] = {} if base_run_id == 0 else None
     if base_run_id:
-        for prior in vault.runs(run.job):
-            if prior.run_id == base_run_id:
-                base_recipe = {e.metadata.path: entry_of(e) for e in prior.files}
-                break
-    recipe = {e.metadata.path: entry_of(e) for e in run.files}
+        try:
+            base_recipe = recipe_of(vault.run_entries(base_run_id, job=run.job))
+        except VaultError:
+            pass  # forgotten since: cut a full delta
+    recipe = recipe_of(run.files)
     full = base_recipe is None or base_run_id == 0
     if full:
         files: FilesDiff = dict(recipe)

@@ -21,10 +21,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.archive.delta import fold, index_entry, unpack_delta
+from repro.archive.delta import fold, unpack_delta
 from repro.client.backup_client import BackupEngine
 from repro.net import messages as m
 from repro.storage.reader import ChunkReader
+from repro.system.catalog import entry_from_doc
 from repro.telemetry.registry import MetricsRegistry, get_registry
 
 
@@ -68,7 +69,7 @@ def _materialize(
     registry: Optional[MetricsRegistry] = None,
 ) -> List[Path]:
     registry = registry if registry is not None else get_registry()
-    entries = [index_entry(recipe[path]) for path in sorted(recipe)]
+    entries = [entry_from_doc(recipe[path]) for path in sorted(recipe)]
     engine = BackupEngine("archive-restore", registry=registry)
     reader = ChunkReader([("delta chain", chunks)], registry=registry)
     paths = engine.restore_run(entries, reader, dest, strip_prefix)

@@ -40,6 +40,7 @@ from repro.archive.delta import (
     unpack_delta,
 )
 from repro.archive.retention import RetentionPolicy
+from repro.durability.fsshim import atomic_write
 from repro.telemetry.registry import MetricsRegistry, get_registry
 
 _SUFFIX = ".delta"
@@ -260,9 +261,7 @@ class ArchiveStore:
                 )
             job_dir.mkdir(parents=True, exist_ok=True)
             final = job_dir / self._segment_name(delta.base_run_id, delta.run_id)
-            tmp = final.with_suffix(final.suffix + ".tmp")
-            tmp.write_bytes(blob)
-            tmp.replace(final)
+            atomic_write(final, blob)
         self._t_received.inc()
         self._publish_chain_gauge()
         return True, delta.run_id
@@ -341,11 +340,10 @@ class ArchiveStore:
         )
         target = self._segment_name(s1.base, s2.run)
         cursor = job_dir / _CURSOR
-        cursor_tmp = cursor.with_suffix(".json.tmp")
-        cursor_tmp.write_text(
-            json.dumps({"sources": [s1.name, s2.name], "target": target})
+        atomic_write(
+            cursor,
+            json.dumps({"sources": [s1.name, s2.name], "target": target}).encode(),
         )
-        cursor_tmp.replace(cursor)
         tmp = job_dir / (target + ".tmp")
         tmp.write_bytes(pack_delta(merged))
         self._fault(ARCHIVE_MERGE_PREPUBLISH)

@@ -415,25 +415,17 @@ def audit_vault(vault, deep: bool = False) -> AuditReport:
             f"vault index file is {store.path}, expected "
             f"{vault.root / 'index.bin'}",
         )
-    if index.n_bits != vault._catalog["index_n_bits"]:
+    if index.n_bits != vault.catalog.index_n_bits:
         report.add(
             "durability",
-            f"catalog records index_n_bits={vault._catalog['index_n_bits']} "
+            f"catalog records index_n_bits={vault.catalog.index_n_bits} "
             f"but the live index has n_bits={index.n_bits} — reopening the "
             "vault would attach the wrong geometry",
         )
 
-    def runs():
-        for payload in vault._catalog["runs"]:
-            fps = [
-                bytes.fromhex(h)
-                for f in payload["files"]
-                for h in f["fingerprints"]
-            ]
-            yield payload["run_id"], fps
-
     audit_restorability(
-        runs(), _resolver(index, vault.tpds.checking), vault.repository, deep,
+        vault.catalog.iter_run_fingerprints(),
+        _resolver(index, vault.tpds.checking), vault.repository, deep,
         report, chunk_log=vault.tpds.chunk_log,
     )
     return report

@@ -3,14 +3,12 @@
 Sealed SISL containers are immutable — ideal cold-tier objects.  This
 package abstracts *where their bytes live* behind a small key/value
 interface (:class:`StorageBackend`: put / get / get_range / get_ranges /
-delete / list / stat) with two implementations:
-
-* :class:`LocalDiskBackend` — one file per object under a root directory,
-  today's behaviour and the default (zero regression);
-* :class:`ObjectStoreBackend` — an S3-style object store with byte-range
-  reads, a simulated per-request latency/throughput profile, and fault
-  injection (throttling, transient 5xx-style errors) behind retry with
-  exponential backoff.
+delete / list / stat), implemented by :class:`ObjectStoreBackend` — an
+S3-style object store with byte-range reads, a simulated per-request
+latency/throughput profile, and fault injection (throttling, transient
+5xx-style errors) behind retry with exponential backoff.  (The hot tier
+is :class:`~repro.storage.file_repository.FileChunkRepository`, not a
+backend.)
 
 On top of the interface sit the cold-tier read planner (adjacent chunk
 ranges coalesced into batched multi-range GETs — :mod:`repro.backend.planner`),
@@ -37,7 +35,6 @@ from repro.backend.lifecycle import (
     LifecyclePolicy,
     MigrationReport,
 )
-from repro.backend.localdisk import LocalDiskBackend
 from repro.backend.objectstore import (
     BackendFaultRule,
     ObjectStoreBackend,
@@ -52,7 +49,6 @@ __all__ = [
     "ContainerAge",
     "LifecycleManager",
     "LifecyclePolicy",
-    "LocalDiskBackend",
     "LruMetaCache",
     "MetaCache",
     "MigrationReport",

@@ -105,24 +105,24 @@ class LifecycleManager:
         """container id -> [first run ordinal, last run ordinal] (1-based)."""
         index = self.vault.tpds.index
         spans: Dict[int, List[int]] = {}
-        for ordinal, run in enumerate(self.vault._catalog["runs"], start=1):
-            for f in run["files"]:
-                for h in f["fingerprints"]:
-                    cid = index.lookup(bytes.fromhex(h))
-                    if cid is None:
-                        continue
-                    span = spans.get(cid)
-                    if span is None:
-                        spans[cid] = [ordinal, ordinal]
-                    else:
-                        span[1] = ordinal
+        runs = self.vault.catalog.iter_run_fingerprints()
+        for ordinal, (_, fps) in enumerate(runs, start=1):
+            for fp in fps:
+                cid = index.lookup(fp)
+                if cid is None:
+                    continue
+                span = spans.get(cid)
+                if span is None:
+                    spans[cid] = [ordinal, ordinal]
+                else:
+                    span[1] = ordinal
         return spans
 
     def ages(self) -> List[ContainerAge]:
         """Lifecycle scores for every container, hottest-ID order."""
         repo = self.vault.repository
         spans = self._reference_spans()
-        total = len(self.vault._catalog["runs"])
+        total = len(self.vault.catalog)
         out: List[ContainerAge] = []
         for cid in repo.container_ids():
             try:

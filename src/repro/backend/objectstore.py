@@ -44,6 +44,7 @@ from repro.backend.base import (
     ThrottledError,
     TransientBackendError,
 )
+from repro.durability.fsshim import atomic_write
 from repro.telemetry.registry import MetricsRegistry, get_registry
 
 PathLike = Union[str, Path]
@@ -238,9 +239,7 @@ class ObjectStoreBackend(StorageBackend):
 
         def do() -> None:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(path.suffix + ".tmp")
-            tmp.write_bytes(data)
-            tmp.replace(path)
+            atomic_write(path, data)
 
         self._request("put", do)
         self._charge_payload(len(data))

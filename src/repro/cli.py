@@ -246,11 +246,6 @@ def _telemetry_finish(args, registry, tracer) -> None:
             print(rendered.rstrip("\n"))
 
 
-def _file_count(run) -> int:
-    # VaultRun carries the file list; RemoteRun carries the count.
-    return run.files if isinstance(run.files, int) else len(run.files)
-
-
 def cmd_backup(args) -> int:
     registry, tracer = _telemetry_begin(args)
     with _open(args) as target:
@@ -259,7 +254,7 @@ def cmd_backup(args) -> int:
         run = target.backup(args.job, args.paths)
         saved = run.logical_bytes - run.transferred_bytes
         print(
-            f"run {run.run_id}: {_file_count(run)} files, "
+            f"run {run.run_id}: {run.summary()['files']} files, "
             f"{fmt_bytes(run.logical_bytes)} logical, "
             f"{fmt_bytes(run.transferred_bytes)} transferred "
             f"({fmt_bytes(saved)} filtered as duplicate)"
@@ -268,42 +263,22 @@ def cmd_backup(args) -> int:
     return EXIT_OK
 
 
-def _run_chunk_count(run) -> Optional[int]:
-    """Per-run chunk count: RemoteRun carries it from the wire (None from
-    a pre-archive server); VaultRun derives it from the file entries."""
-    chunks = getattr(run, "chunks", None)
-    if chunks is None and not isinstance(run.files, int):
-        chunks = sum(len(e.fingerprints) for e in run.files)
-    return chunks
-
-
 def cmd_list(args) -> int:
     with _open(args) as target:
-        runs = target.runs(job=args.job)
+        # One row shape for a local VaultRun and a RemoteRun alike.
+        rows = [run.summary() for run in target.runs(job=args.job)]
         if getattr(args, "json", False):
-            rows = [
-                {
-                    "run_id": run.run_id,
-                    "job": run.job,
-                    "timestamp": run.timestamp,
-                    "files": _file_count(run),
-                    "logical_bytes": run.logical_bytes,
-                    "transferred_bytes": run.transferred_bytes,
-                    "chunks": _run_chunk_count(run),
-                }
-                for run in runs
-            ]
             print(json.dumps(rows, indent=1, sort_keys=True))
             return EXIT_OK
-        if not runs:
+        if not rows:
             print("no runs recorded")
             return EXIT_OK
         print(f"{'run':>4}  {'job':<16} {'files':>6} {'logical':>10} {'transferred':>12}")
-        for run in runs:
+        for row in rows:
             print(
-                f"{run.run_id:>4}  {run.job:<16} {_file_count(run):>6} "
-                f"{fmt_bytes(run.logical_bytes):>10} "
-                f"{fmt_bytes(run.transferred_bytes):>12}"
+                f"{row['run_id']:>4}  {row['job']:<16} {row['files']:>6} "
+                f"{fmt_bytes(row['logical_bytes']):>10} "
+                f"{fmt_bytes(row['transferred_bytes']):>12}"
             )
     return EXIT_OK
 

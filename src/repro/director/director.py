@@ -105,16 +105,6 @@ class Director:
         self.dedup2_runs += 1
 
     # -- archive retention -------------------------------------------------------------
-    def runs_to_expire(self, points: Sequence) -> List[int]:
-        """Which restore points of one chain the retention policy expires.
-
-        ``points`` is ``(run_id, wall timestamp)`` pairs; returns run ids,
-        oldest first, empty with no policy (keep forever).
-        """
-        if self.retention is None:
-            return []
-        return self.retention.expired(list(points))
-
     def expire_archive(self, store, origin: str, job: str) -> List[int]:
         """Evaluate retention for one archived chain and apply it: expired
         runs merge forward (``repro.archive.store``) before dropping, so

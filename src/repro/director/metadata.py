@@ -12,7 +12,7 @@ everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.fingerprint import FINGERPRINT_SIZE, Fingerprint
 from repro.simdisk import Meter, SimClock

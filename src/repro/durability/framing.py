@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.durability.crc import crc32c
 from repro.durability.errors import CorruptionError, TornWriteError
@@ -182,10 +182,3 @@ def scan_frames(blob: bytes, start: int = 0, *, artifact: str = "artifact") -> S
         off = end
         result.valid_end = off
     return result
-
-
-def iter_payloads(blob: bytes, start: int = 0) -> Iterator[bytes]:
-    """Yield the payloads of every *intact* frame (convenience wrapper)."""
-    for record in scan_frames(blob, start).records:
-        if record.ok:
-            yield record.payload

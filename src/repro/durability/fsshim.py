@@ -131,10 +131,6 @@ class FaultyFs(LocalFs):
         self._charged: dict = {}  # path -> bytes charged against the quota
         self.faults_fired = 0
 
-    def add_rule(self, rule: FaultRule) -> FaultRule:
-        self.rules.append(rule)
-        return rule
-
     @property
     def charged_bytes(self) -> int:
         return sum(self._charged.values())
@@ -225,6 +221,21 @@ class FaultyFs(LocalFs):
         if self._fault("pread", spath, ("eio",)):
             raise _eio(spath)
         return self._maybe_flip("pread", spath, super().pread(fh, offset, length))
+
+
+def atomic_write(path: PathLike, data: bytes, fs: Optional[LocalFs] = None) -> None:
+    """Replace ``path`` with ``data`` so a reader sees the old file or the
+    new one, never a torn mix: write a sibling ``<name>.tmp`` through the
+    shim's ``write_file`` (so fault rules and quotas see it), then rename
+    it over ``path``.  A failed write leaves ``path`` untouched and a stray
+    temp file the next call overwrites.  ``fs`` defaults to a
+    :class:`LocalFs` for callers that hold no shim.
+    """
+    fs = fs if fs is not None else LocalFs()
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    fs.write_file(tmp, data)
+    fs.replace(tmp, path)
 
 
 def flip_byte_on_disk(path: PathLike, offset: int, mask: int = 0x01) -> None:

@@ -619,15 +619,7 @@ class Scrubber:
     # -- degraded-file bookkeeping --------------------------------------------
     def _mark_degraded(self, report: ScrubReport, fp: Fingerprint) -> None:
         """Flag every catalogued file referencing a lost chunk."""
-        hex_fp = fp.hex()
-        changed = False
-        for run in self.vault._catalog["runs"]:
-            for f in run["files"]:
-                if hex_fp in f["fingerprints"] and not f.get("degraded"):
-                    f["degraded"] = True
-                    report.degraded_files.append(
-                        f"run {run['run_id']}: {f['path']}"
-                    )
-                    changed = True
-        if changed:
-            self.vault._save_catalog()
+        report.degraded_files.extend(
+            f"run {run_id}: {path}"
+            for run_id, path in self.vault.catalog.mark_degraded(fp)
+        )

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.durability.fsshim import atomic_write
 from repro.replication.ring import DEFAULT_VNODES, PlacementRing
 
 _STATE_FILE = "membership.json"
@@ -106,9 +107,9 @@ class ClusterMembership:
                 self._nodes[name].to_doc() for name in sorted(self._nodes)
             ],
         }
-        tmp = self._state_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(doc, indent=1, sort_keys=True))
-        tmp.replace(self._state_path)
+        atomic_write(
+            self._state_path, json.dumps(doc, indent=1, sort_keys=True).encode()
+        )
 
     # -- membership mutations (epoch-bearing) --------------------------------------
     def join(self, name: str, address: str) -> bool:

@@ -29,6 +29,7 @@ import json
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.durability.fsshim import atomic_write
 from repro.net import messages as m
 from repro.net.client import NetClient, RetryPolicy
 from repro.replication.ring import PlacementRing
@@ -123,9 +124,9 @@ class RebalancePlanner:
     def _save(self) -> None:
         if self._path is None or self.plan is None:
             return
-        tmp = self._path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(self.plan, indent=1, sort_keys=True))
-        tmp.replace(self._path)
+        atomic_write(
+            self._path, json.dumps(self.plan, indent=1, sort_keys=True).encode()
+        )
 
     def current(
         self, ring: PlacementRing, inventories: Dict[str, dict], epoch: int

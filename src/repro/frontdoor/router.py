@@ -63,6 +63,7 @@ from repro.net import messages as m
 from repro.net.aioserver import AsyncFrameServer, _error_frame
 from repro.net.client import RetryPolicy
 from repro.net.framing import FRAME_HEADER_SIZE, Frame, FrameError, decode_header
+from repro.system.catalog import mirrored_runs
 from repro.telemetry.clock import wall_now
 from repro.telemetry.registry import MetricsRegistry, get_registry
 
@@ -890,22 +891,18 @@ class FrontDoorRouter(AsyncFrameServer):
         down = [
             n for n in self.membership.names() if n not in reachable
         ]
-        matches: Dict[str, list] = {}  # job -> catalog file list
+        matches: Dict[str, list] = {}  # job -> the run's file indices
         for origin in down:
             catalog = None
             async for _, response in self._ask_live(
                 conn, m.CATALOG_FETCH, m.encode_json({"origin": origin}),
                 skip=extra_down,
             ):
-                catalog = m.decode_json(response.payload).get("catalog") or {}
+                catalog = m.decode_json(response.payload).get("catalog")
                 break
-            for run in (catalog or {}).get("runs", []):
-                if int(run.get("run_id", -1)) != run_id:
-                    continue
-                run_job = str(run.get("job", ""))
-                if job and run_job != job:
-                    continue
-                matches.setdefault(run_job, run.get("files", []))
+            for run in mirrored_runs(catalog, run_id):
+                if not job or run.job == job:
+                    matches.setdefault(run.job, run.files)
         if len(matches) > 1:
             return _error_frame(
                 frame.request_id, "AmbiguousRun",
@@ -914,22 +911,10 @@ class FrontDoorRouter(AsyncFrameServer):
             )
         if not matches:
             return None
-        entries = [
-            (
-                {
-                    "path": f["path"],
-                    "size": f["size"],
-                    "mode": f["mode"],
-                    "mtime": f["mtime"],
-                },
-                [bytes.fromhex(h) for h in f["fingerprints"]],
-            )
-            for f in next(iter(matches.values()))
-        ]
         return Frame(
             m.META_ENTRIES,
             frame.request_id,
-            m.encode_file_entries(entries),
+            m.encode_index_entries(next(iter(matches.values()))),
         )
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 import socket
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -389,6 +389,10 @@ class RemoteRun:
     transferred_bytes: int
     #: Per-run chunk count (None when talking to a pre-archive server).
     chunks: Optional[int] = None
+
+    def summary(self) -> dict:
+        """The listing row, as :meth:`repro.system.catalog.VaultRun.summary`."""
+        return asdict(self)
 
 
 class WireSource:

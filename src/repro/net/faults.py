@@ -26,7 +26,7 @@ Actions:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 DROP = "drop"
 TRUNCATE = "truncate"
@@ -76,17 +76,6 @@ class FrameFaultPlan:
             pass
         client._drop_connection()
         return None
-
-
-class FaultCounters:
-    """Shared accounting across a sequence of fault plans (tests)."""
-
-    def __init__(self) -> None:
-        self.by_action: Dict[str, int] = {a: 0 for a in FRAME_FAULTS}
-
-    def record(self, plan: FrameFaultPlan) -> None:
-        if plan.fired:
-            self.by_action[plan.action] += 1
 
 
 @contextmanager

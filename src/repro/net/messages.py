@@ -380,6 +380,23 @@ def encode_file_entries(entries: Sequence[Tuple[dict, Sequence[Fingerprint]]]) -
     return b"".join(parts)
 
 
+def encode_index_entries(entries) -> bytes:
+    """A ``META_ENTRIES`` body from
+    :class:`~repro.director.metadata.FileIndexEntry` objects."""
+    return encode_file_entries([
+        (
+            {
+                "path": e.metadata.path,
+                "size": e.metadata.size,
+                "mode": e.metadata.mode,
+                "mtime": e.metadata.mtime,
+            },
+            e.fingerprints,
+        )
+        for e in entries
+    ])
+
+
 def decode_file_entries(payload: bytes, offset: int = 0) -> Tuple[List[Tuple[dict, List[Fingerprint]]], int]:
     count, offset = _take_u32(payload, offset)
     out: List[Tuple[dict, List[Fingerprint]]] = []

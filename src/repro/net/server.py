@@ -58,6 +58,7 @@ from repro.net.aioserver import AsyncFrameServer, _error_frame
 from repro.net.framing import Frame, ProtocolError
 from repro.archive.store import ArchiveStore
 from repro.replication.store import ReplicaStore
+from repro.system.catalog import mirrored_run_count
 from repro.system.vault import DebarVault, VaultError
 from repro.telemetry.clock import wall_now
 from repro.telemetry.registry import MetricsRegistry, get_registry
@@ -624,20 +625,6 @@ class VaultProtocolServer(AsyncFrameServer):
                     self._t_replica_served.inc()
         return m.CHUNK_DATA, m.encode_chunk_batch(chunks)
 
-    def _run_payload(self, run) -> List[Tuple[dict, List[bytes]]]:
-        return [
-            (
-                {
-                    "path": e.metadata.path,
-                    "size": e.metadata.size,
-                    "mode": e.metadata.mode,
-                    "mtime": e.metadata.mtime,
-                },
-                list(e.fingerprints),
-            )
-            for e in run.files
-        ]
-
     def _on_meta_get(self, payload: bytes) -> Tuple[int, bytes]:
         doc = m.decode_json(payload)
         run_id = int(doc["run_id"])
@@ -649,28 +636,14 @@ class VaultProtocolServer(AsyncFrameServer):
         with self.vault_lock:
             for run in self.vault.runs(job=job):
                 if run.run_id == run_id:
-                    return m.META_ENTRIES, m.encode_file_entries(self._run_payload(run))
+                    return m.META_ENTRIES, m.encode_index_entries(run.files)
         scope = f"job {job!r}" if job else "this vault"
         raise VaultError(f"no run {run_id} for {scope}")
 
     def _on_runs(self, payload: bytes) -> Tuple[int, bytes]:
         doc = m.decode_json(payload)
         with self.vault_lock:
-            runs = self.vault.runs(job=doc.get("job"))
-            out = [
-                {
-                    "run_id": r.run_id,
-                    "job": r.job,
-                    "timestamp": r.timestamp,
-                    "files": len(r.files),
-                    "logical_bytes": r.logical_bytes,
-                    "transferred_bytes": r.transferred_bytes,
-                    # Chunk count, so retention policies and operators can
-                    # reason about run size without opening catalogs.
-                    "chunks": sum(len(e.fingerprints) for e in r.files),
-                }
-                for r in runs
-            ]
+            out = [r.summary() for r in self.vault.runs(job=doc.get("job"))]
         return m.RUNS_OK, m.encode_json(out)
 
     def _on_stats(self, payload: bytes) -> Tuple[int, bytes]:
@@ -739,7 +712,7 @@ class VaultProtocolServer(AsyncFrameServer):
         self.replica_store.put_catalog(origin, catalog)
         return m.CATALOG_OK, m.encode_json({
             "origin": origin,
-            "runs": len(catalog.get("runs", [])),
+            "runs": mirrored_run_count(catalog),
         })
 
     def _on_repl_status(self, payload: bytes) -> Tuple[int, bytes]:
@@ -780,7 +753,7 @@ class VaultProtocolServer(AsyncFrameServer):
         origin = str(doc.get("origin", ""))
         if origin == self.node_name:
             with self.vault_lock:
-                catalog = self.vault._catalog
+                catalog = self.vault.catalog.snapshot()
         else:
             catalog = self.replica_store.catalog(origin)
         return m.CATALOG_DATA, m.encode_json({"origin": origin, "catalog": catalog})

@@ -46,6 +46,7 @@ from collections import deque
 from pathlib import Path
 from typing import Deque, Dict, Hashable, Iterable, Optional, Set, Tuple
 
+from repro.durability.fsshim import atomic_write
 from repro.net.client import NetClient, RemoteError, RetryPolicy
 from repro.net.framing import ProtocolError
 from repro.telemetry.registry import MetricsRegistry, get_registry
@@ -184,9 +185,7 @@ class AsyncShipper:
                 name: self._dump_acked(acked) for name, acked in self._acked.items()
             },
         }
-        tmp = self._state_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(doc, indent=1))
-        tmp.replace(self._state_path)
+        atomic_write(self._state_path, json.dumps(doc, indent=1).encode())
 
     def _ack(self, peer: str, task: Hashable) -> None:
         with self._cond:

@@ -25,7 +25,6 @@ ever saw and which the report lists as unrecoverable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -36,6 +35,13 @@ from repro.net import messages as m
 from repro.net.client import NetClient, RemoteError, RetryPolicy
 from repro.net.framing import ProtocolError
 from repro.storage.container import Container
+from repro.system.catalog import (
+    VaultError,
+    check_document,
+    has_document,
+    mirrored_run_count,
+    write_document,
+)
 
 PathLike = Union[str, Path]
 
@@ -114,15 +120,17 @@ def rebuild_node(
 ) -> RebuildReport:
     """Reconstruct ``node``'s vault at ``vault_root`` from ``peers``.
 
-    ``vault_root`` must not already contain a vault (no ``catalog.json``) —
+    ``vault_root`` must not already contain a vault (no catalog file) —
     rebuilding over live data would be destructive.  Raises
-    :class:`RebuildError` when no peer holds the node's catalog or when a
-    named container cannot be pulled and verified from any holder.
+    :class:`RebuildError` when no peer holds a well-formed catalog of the
+    node or when a named container cannot be pulled and verified from any
+    holder.  The catalog is written last and atomically, so an interrupted
+    rebuild leaves no vault behind and can simply be run again.
     """
     if not peers:
         raise RebuildError("rebuild needs at least one surviving peer")
     root = Path(vault_root)
-    if (root / "catalog.json").exists():
+    if has_document(root):
         raise RebuildError(
             f"{root} already holds a vault; rebuild refuses to overwrite it"
         )
@@ -158,14 +166,22 @@ def rebuild_node(
         for name in catalog_holders:
             try:
                 doc = clients[name].call_json(m.CATALOG_FETCH, {"origin": node})
-                catalog = doc["catalog"]
+                # A mirror is outside input: nothing is written from it
+                # until it passes the same check a vault open applies.
+                catalog = check_document(doc["catalog"])
                 report.catalog_source = name
                 break
-            except (RemoteError, ProtocolError, OSError, KeyError) as exc:
+            except (
+                RemoteError, ProtocolError, OSError, KeyError,
+                CorruptionError, VaultError,
+            ) as exc:
                 report.notes.append(f"catalog fetch from {name} failed: {exc}")
         if catalog is None:
-            raise RebuildError(f"could not fetch {node!r}'s catalog from any peer")
-        capacity = int(catalog.get("container_bytes", 0)) or None
+            raise RebuildError(
+                f"could not fetch a usable catalog of {node!r} from any peer: "
+                + "; ".join(report.notes)
+            )
+        capacity = catalog["container_bytes"]
         root.mkdir(parents=True, exist_ok=True)
         containers_dir = root / "containers"
         containers_dir.mkdir(exist_ok=True)
@@ -203,8 +219,8 @@ def rebuild_node(
                 f"not be pulled from any surviving peer"
             )
         # 5. Catalog down, containers down: reopen and recover the index.
-        report.catalog_runs = len(catalog.get("runs", []))
-        (root / "catalog.json").write_text(json.dumps(catalog, indent=1))
+        report.catalog_runs = mirrored_run_count(catalog)
+        write_document(root, catalog)
         from repro.system.vault import DebarVault
 
         with DebarVault(root) as vault:

@@ -28,10 +28,9 @@ Telemetry: ``repl.queue_depth``, ``repl.lag``, ``repl.containers_shipped``,
 from __future__ import annotations
 
 import functools
-import json
-from pathlib import Path
 from typing import Dict, Iterator, Optional, Set, Tuple
 
+from repro.durability.errors import CorruptionError
 from repro.net import messages as m
 from repro.net.client import NetClient, RetryPolicy
 from repro.net.shipper import AsyncShipper
@@ -120,11 +119,10 @@ class Replicator(AsyncShipper):
         self._ack(peer, cid)
 
     def _on_idle(self, client: NetClient, peer: str) -> None:
-        catalog_path = Path(self.vault.root) / "catalog.json"
         try:
-            catalog = json.loads(self.vault.fs.read_file(catalog_path))
-        except (ValueError, OSError):
-            return  # no catalog yet; the next run marks us dirty again
+            catalog = self.vault.catalog.snapshot()
+        except (CorruptionError, OSError):
+            return  # unreadable right now; the next run marks us dirty again
         client.call_json(
             m.CATALOG_PUSH, {"origin": self.node_name, "catalog": catalog}
         )

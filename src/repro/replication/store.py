@@ -24,7 +24,6 @@ sections lets the daemon serve chunks it only holds as a replica.
 
 from __future__ import annotations
 
-import json
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -33,9 +32,14 @@ from repro.core.fingerprint import Fingerprint
 from repro.durability.errors import CorruptionError
 from repro.durability.fsshim import LocalFs
 from repro.storage.container import CONTAINER_SIZE, Container
+from repro.system.catalog import (
+    has_document,
+    mirrored_run_count,
+    read_document,
+    write_document,
+)
 
 _SUFFIX = ".ctr"
-_CATALOG = "catalog.json"
 
 
 class ReplicaStoreError(ValueError):
@@ -118,9 +122,7 @@ class ReplicaStore:
     def put_catalog(self, origin: str, catalog: dict) -> None:
         folder = self._origin_dir(origin)
         folder.mkdir(parents=True, exist_ok=True)
-        self.fs.write_file(
-            folder / _CATALOG, json.dumps(catalog, indent=1).encode()
-        )
+        write_document(folder, catalog, self.fs)
 
     # -- retrieval ---------------------------------------------------------------
     def fetch_image(self, origin: str, container_id: int) -> bytes:
@@ -132,13 +134,12 @@ class ReplicaStore:
         return self.fs.read_file(path)
 
     def catalog(self, origin: str) -> dict:
-        path = self._origin_dir(origin) / _CATALOG
-        if not self.fs.exists(path):
+        if not self.has_catalog(origin):
             raise KeyError(f"no mirrored catalog for {origin!r}")
-        return json.loads(self.fs.read_file(path))
+        return read_document(self._origin_dir(origin), self.fs)
 
     def has_catalog(self, origin: str) -> bool:
-        return self.fs.exists(self._origin_dir(origin) / _CATALOG)
+        return has_document(self._origin_dir(origin))
 
     def _ensure_fp_map(self) -> Dict[Fingerprint, Tuple[str, int]]:
         with self._lock:
@@ -184,8 +185,8 @@ class ReplicaStore:
             }
             if self.has_catalog(origin):
                 try:
-                    entry["catalog_runs"] = len(self.catalog(origin).get("runs", []))
-                except (ValueError, OSError):
+                    entry["catalog_runs"] = mirrored_run_count(self.catalog(origin))
+                except (CorruptionError, OSError):
                     entry["catalog_runs"] = None
             out[origin] = entry
         return out

@@ -53,12 +53,6 @@ class CpuModel:
             raise ValueError("nbytes must be non-negative")
         return nbytes / self.sha1_rate
 
-    def chunking_time(self, nbytes: float) -> float:
-        """Time to run content-defined chunking over ``nbytes``."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        return nbytes / self.chunking_rate
-
     def filter_probe_time(self, n_probes: int) -> float:
         """Time for ``n_probes`` preliminary-filter hash probes."""
         if n_probes < 0:

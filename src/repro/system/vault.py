@@ -10,6 +10,9 @@ disk:
       index.bin        the DEBAR disk index (FileBlockStore-backed)
       containers/      one self-described file per sealed container
 
+``catalog.json`` is read, written and understood by
+:mod:`repro.system.catalog` alone; the vault asks its :class:`Catalog`.
+
 A vault survives process restarts: reopening re-attaches the index (bucket
 counts are rebuilt from the file), rescans the container directory, and
 reloads the catalog.  Each ``backup()`` runs dedup-1 and a full dedup-2
@@ -20,7 +23,6 @@ containers' metadata sections (Section 4.1's recovery path).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -33,7 +35,7 @@ from repro.client.backup_client import BackupEngine
 from repro.core.checking import CheckingFile
 from repro.core.disk_index import DiskIndex
 from repro.core.tpds import TwoPhaseDeduplicator
-from repro.director.metadata import FileIndexEntry, FileMetadata
+from repro.director.metadata import FileIndexEntry
 from repro.durability.errors import CorruptionError
 from repro.durability.framing import KIND_INDEX, Superblock, unpack_superblock
 from repro.durability.fsshim import LocalFs
@@ -44,6 +46,12 @@ from repro.storage.blockstore import FileBlockStore
 from repro.storage.chunk_log import PersistentChunkLog
 from repro.storage.reader import ChunkReader
 from repro.storage.tiered import TieredChunkRepository
+from repro.system.catalog import (  # re-exported: the vault's public names
+    CATALOG_VERSION,
+    Catalog,
+    VaultError,
+    VaultRun,
+)
 from repro.telemetry.clock import wall_now
 from repro.telemetry.registry import MetricsRegistry, get_registry
 from repro.telemetry.tracing import trace_span
@@ -52,7 +60,6 @@ import struct
 
 PathLike = Union[str, Path]
 
-_CATALOG = "catalog.json"
 _INDEX = "index.bin"
 _INDEX_SB = "index.sb"
 _CHUNK_LOG = "chunk.log"
@@ -61,9 +68,6 @@ _CONTAINERS = "containers"
 
 #: Index-superblock payload: n_bits, bucket_bytes, entry count.
 _INDEX_SB_PAYLOAD = struct.Struct("<III")
-
-#: Catalog schema version (bumped on incompatible layout changes).
-CATALOG_VERSION = 1
 
 
 @dataclass
@@ -77,22 +81,6 @@ class GcReport:
     live_chunks_copied: int = 0
     dead_chunks_dropped: int = 0
     bytes_reclaimed: int = 0
-
-
-@dataclass
-class VaultRun:
-    """One completed backup recorded in the catalog."""
-
-    run_id: int
-    job: str
-    timestamp: float
-    logical_bytes: int
-    transferred_bytes: int
-    files: List[FileIndexEntry]
-
-
-class VaultError(Exception):
-    """Raised on catalog/layout problems."""
 
 
 class DebarVault:
@@ -115,25 +103,13 @@ class DebarVault:
         self.fs = fs if fs is not None else LocalFs()
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        catalog_path = self.root / _CATALOG
-        if catalog_path.exists():
-            self._catalog = json.loads(catalog_path.read_text())
-            if self._catalog.get("version") != CATALOG_VERSION:
-                raise VaultError(
-                    f"catalog version {self._catalog.get('version')} unsupported"
-                )
-            index_n_bits = self._catalog["index_n_bits"]
-            index_bucket_bytes = self._catalog["index_bucket_bytes"]
-            container_bytes = self._catalog["container_bytes"]
-        else:
-            self._catalog = {
-                "version": CATALOG_VERSION,
-                "index_n_bits": index_n_bits,
-                "index_bucket_bytes": index_bucket_bytes,
-                "container_bytes": container_bytes,
-                "runs": [],
-            }
-        self.container_bytes = container_bytes
+        #: The run catalog; an existing one overrides the geometry arguments.
+        self.catalog = Catalog(
+            self.root, self.fs, index_n_bits, index_bucket_bytes, container_bytes
+        )
+        index_n_bits = self.catalog.index_n_bits
+        index_bucket_bytes = self.catalog.index_bucket_bytes
+        container_bytes = self.container_bytes = self.catalog.container_bytes
         self._t_retries = self.telemetry.counter(
             "io.retries", "transient I/O errors retried by the storage layer"
         ).labels()
@@ -143,8 +119,8 @@ class DebarVault:
             fs=self.fs,
             on_retry=self._t_retries.inc,
         )
-        if self._catalog.get("cold"):
-            self._attach_cold(self._catalog["cold"])
+        if self.catalog.cold:
+            self._attach_cold(self.catalog.cold)
         index_size = (1 << index_n_bits) * index_bucket_bytes
         self._index_store = FileBlockStore(
             self.root / _INDEX, index_size, fs=self.fs, on_retry=self._t_retries.inc
@@ -178,7 +154,7 @@ class DebarVault:
         self._t_restores = self.telemetry.counter(
             "vault.restores", "restore operations completed by this vault"
         ).labels()
-        self._save_catalog()
+        self.catalog.save()
         #: Outbound shippers (repro.replication / repro.archive), attached
         #: by the serve CLI when --replicate-to / --archive-to is
         #: configured; ``None`` standalone.  Every committed run notifies
@@ -237,9 +213,8 @@ class DebarVault:
             "profile": (profile or RequestProfile()).to_json(),
             "meta_cache_capacity": meta_cache_capacity,
         }
-        self._catalog["cold"] = config
         self._attach_cold(config)
-        self._save_catalog()
+        self.catalog.set_cold(config)
 
     def reader(self, plan=None, fallbacks=()):
         """The vault's chunk reader — the one place the tier is decided.
@@ -292,69 +267,10 @@ class DebarVault:
         self._index_store.flush()
         self._write_index_superblock()
 
-    # -- catalog ------------------------------------------------------------------
-    def _save_catalog(self) -> None:
-        tmp = self.root / (_CATALOG + ".tmp")
-        tmp.write_text(json.dumps(self._catalog, indent=1))
-        tmp.replace(self.root / _CATALOG)
-
-    def _next_run_id(self) -> int:
-        """Run ids are strictly increasing for the life of the vault — a
-        forgotten run's id is never minted again (DESIGN.md §6): the
-        archive's ``run_id <= tip`` idempotency rule would silently refuse
-        to ship a reused id.  Catalogs written before the counter existed
-        resume above their highest surviving run."""
-        next_id = self._catalog.get("next_run_id")
-        if next_id is None:
-            next_id = max((p["run_id"] for p in self._catalog["runs"]), default=0) + 1
-        return next_id
-
-    def _record_run(self, run: VaultRun) -> None:
-        self._catalog["next_run_id"] = run.run_id + 1
-        self._catalog["runs"].append(
-            {
-                "run_id": run.run_id,
-                "job": run.job,
-                "timestamp": run.timestamp,
-                "logical_bytes": run.logical_bytes,
-                "transferred_bytes": run.transferred_bytes,
-                "files": [
-                    {
-                        "path": e.metadata.path,
-                        "size": e.metadata.size,
-                        "mode": e.metadata.mode,
-                        "mtime": e.metadata.mtime,
-                        "fingerprints": [fp.hex() for fp in e.fingerprints],
-                    }
-                    for e in run.files
-                ],
-            }
-        )
-        self._save_catalog()
-
-    def _load_run(self, payload: dict) -> VaultRun:
-        return VaultRun(
-            run_id=payload["run_id"],
-            job=payload["job"],
-            timestamp=payload["timestamp"],
-            logical_bytes=payload["logical_bytes"],
-            transferred_bytes=payload["transferred_bytes"],
-            files=[
-                FileIndexEntry(
-                    FileMetadata(f["path"], f["size"], f["mode"], f["mtime"]),
-                    [bytes.fromhex(h) for h in f["fingerprints"]],
-                )
-                for f in payload["files"]
-            ],
-        )
-
     # -- public API --------------------------------------------------------------------
     def runs(self, job: Optional[str] = None) -> List[VaultRun]:
         """All recorded runs, oldest first (optionally one job's chain)."""
-        runs = [self._load_run(p) for p in self._catalog["runs"]]
-        if job is not None:
-            runs = [r for r in runs if r.job == job]
-        return runs
+        return self.catalog.runs(job)
 
     def latest_run(self, job: str) -> Optional[VaultRun]:
         chain = self.runs(job)
@@ -424,14 +340,14 @@ class DebarVault:
                 self._sync_index_geometry()
                 self._flush_index()
                 run = VaultRun(
-                    run_id=self._next_run_id(),
+                    run_id=self.catalog.next_run_id(),
                     job=job,
                     timestamp=timestamp,
                     logical_bytes=stats.logical_bytes,
                     transferred_bytes=stats.transferred_bytes,
                     files=entries,
                 )
-                self._record_run(run)
+                self.catalog.record(run)
             span.set_io(bytes_in=stats.logical_bytes, bytes_out=stats.transferred_bytes)
             span.annotate(run_id=run.run_id)
         self._t_backups.inc()
@@ -453,25 +369,15 @@ class DebarVault:
         open re-attaches the wrong-sized index.
         """
         index = self.tpds.index
-        if index.n_bits != self._catalog["index_n_bits"]:
-            self._catalog["index_n_bits"] = index.n_bits
+        if index.n_bits != self.catalog.index_n_bits:
             self._index_store = index.store
-            self._save_catalog()
-
-    def _find_run(self, run_id: int, job: Optional[str] = None) -> dict:
-        """The catalog payload of run ``run_id`` (the one run-by-id scan),
-        optionally pinned to one job's chain."""
-        for payload in self._catalog["runs"]:
-            if payload["run_id"] == run_id and (job is None or payload["job"] == job):
-                return payload
-        scope = f"job {job!r}" if job else "this vault"
-        raise VaultError(f"no run {run_id} for {scope}")
+            self.catalog.set_index_n_bits(index.n_bits)
 
     def run_entries(
         self, run_id: int, job: Optional[str] = None
     ) -> List[FileIndexEntry]:
         """The file indices of a recorded run (what ``META_GET`` serves)."""
-        return self._load_run(self._find_run(run_id, job)).files
+        return self.catalog.find(run_id, job).files
 
     def restore(
         self,
@@ -509,7 +415,7 @@ class DebarVault:
         it still records the run (the same bytes, without folding a delta
         chain), else the archived chain under ``<vault>/archive``."""
         try:
-            self._find_run(as_of, job)
+            self.catalog.find(as_of, job)
         except VaultError:
             from repro.archive import ArchiveStore, restore_local
 
@@ -535,39 +441,37 @@ class DebarVault:
         checked = 0
         deep_checked = 0
         verified_payload: set = set()
-        for payload in self._catalog["runs"]:
-            for f in payload["files"]:
-                for h in f["fingerprints"]:
-                    fp = bytes.fromhex(h)
-                    cid = self.tpds.index.lookup(fp)
-                    if cid is None:
+        for _, fps in self.catalog.iter_run_fingerprints():
+            for fp in fps:
+                cid = self.tpds.index.lookup(fp)
+                if cid is None:
+                    raise CorruptionError(
+                        f"fingerprint {fp.hex()[:12]} missing from index",
+                        artifact="index", fingerprint=fp,
+                    )
+                checked += 1
+                if deep and fp not in verified_payload:
+                    try:
+                        container = self.repository.fetch(cid)
+                    except KeyError:
+                        container = ()  # a missing container holds nothing
+                    if fp not in container:
                         raise CorruptionError(
-                            f"fingerprint {h[:12]} missing from index",
-                            artifact="index", fingerprint=fp,
+                            f"index points fingerprint {fp.hex()[:12]} at "
+                            f"container {cid}, which does not hold it",
+                            artifact="index", container_id=cid, fingerprint=fp,
                         )
-                    checked += 1
-                    if deep and fp not in verified_payload:
-                        try:
-                            container = self.repository.fetch(cid)
-                        except KeyError:
-                            container = ()  # a missing container holds nothing
-                        if fp not in container:
-                            raise CorruptionError(
-                                f"index points fingerprint {h[:12]} at container "
-                                f"{cid}, which does not hold it",
-                                artifact="index", container_id=cid, fingerprint=fp,
-                            )
-                        data = container.get(fp)
-                        if sha1(data) != fp:
-                            raise CorruptionError(
-                                f"payload of {h[:12]} does not match its "
-                                f"fingerprint — container {cid} is corrupt",
-                                artifact="container", container_id=cid, fingerprint=fp,
-                            )
-                        verified_payload.add(fp)
-                        deep_checked += 1
+                    data = container.get(fp)
+                    if sha1(data) != fp:
+                        raise CorruptionError(
+                            f"payload of {fp.hex()[:12]} does not match its "
+                            f"fingerprint — container {cid} is corrupt",
+                            artifact="container", container_id=cid, fingerprint=fp,
+                        )
+                    verified_payload.add(fp)
+                    deep_checked += 1
         return {
-            "runs": len(self._catalog["runs"]),
+            "runs": len(self.catalog),
             "fingerprints": checked,
             "payloads_verified": deep_checked,
         }
@@ -591,11 +495,8 @@ class DebarVault:
         from ``run_a`` to ``run_b`` — fingerprint sequences make equality
         exact with no byte comparison.
         """
-        def files_of(run_id: int) -> Dict[str, tuple]:
-            return {
-                f["path"]: tuple(f["fingerprints"])
-                for f in self._find_run(run_id)["files"]
-            }
+        def files_of(run_id: int) -> Dict[str, List[bytes]]:
+            return {e.metadata.path: e.fingerprints for e in self.run_entries(run_id)}
 
         a, b = files_of(run_a), files_of(run_b)
         return {
@@ -635,15 +536,13 @@ class DebarVault:
         sweep.  ``job`` pins the (per-vault) run id to one job's chain so
         a cluster-routed forget cannot delete an unrelated job's run.
         """
-        self._catalog["runs"].remove(self._find_run(run_id, job))
-        self._save_catalog()
+        self.catalog.forget(run_id, job)
 
     def live_fingerprints(self) -> set:
         """Fingerprints referenced by any catalogued run."""
         live = set()
-        for payload in self._catalog["runs"]:
-            for f in payload["files"]:
-                live.update(bytes.fromhex(h) for h in f["fingerprints"])
+        for _, fps in self.catalog.iter_run_fingerprints():
+            live.update(fps)
         return live
 
     def gc(self, rewrite_threshold: float = 0.5) -> GcReport:
@@ -739,10 +638,10 @@ class DebarVault:
 
     def stats(self) -> Dict[str, float]:
         """Vault-level accounting (also published as telemetry gauges)."""
-        logical = sum(p["logical_bytes"] for p in self._catalog["runs"])
+        logical = self.catalog.logical_bytes
         physical = self.repository.stored_chunk_bytes
         stats = {
-            "runs": len(self._catalog["runs"]),
+            "runs": len(self.catalog),
             "logical_bytes": logical,
             "physical_bytes": physical,
             "compression_ratio": logical / physical if physical else float("inf"),

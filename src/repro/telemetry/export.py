@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.durability.fsshim import atomic_write
 from repro.telemetry.clock import wall_now
 from repro.telemetry.registry import MetricsRegistry, get_registry
 from repro.telemetry.tracing import Tracer, get_tracer
@@ -43,9 +44,7 @@ def build_snapshot(
 def save_snapshot(doc: dict, path: PathLike) -> Path:
     """Write a snapshot document to ``path`` (atomic temp + rename)."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=1, default=float))
-    tmp.replace(path)
+    atomic_write(path, json.dumps(doc, indent=1, default=float).encode())
     return path
 
 

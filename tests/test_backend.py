@@ -1,4 +1,4 @@
-"""Tests for the storage-backend abstraction: local disk, the simulated
+"""Tests for the storage-backend abstraction: the simulated
 object store (request model, batching, retry/backoff, fault injection,
 the cross-process _faults.json control file), and the metadata cache."""
 
@@ -14,7 +14,6 @@ from repro.backend.base import (
     TransientBackendError,
 )
 from repro.backend.cache import LruMetaCache, NullMetaCache
-from repro.backend.localdisk import LocalDiskBackend
 from repro.backend.objectstore import (
     FAULTS_FILE,
     BackendFaultRule,
@@ -51,12 +50,10 @@ class TestErrorTaxonomy:
 
 
 class TestBackendContract:
-    """Both implementations answer the same six verbs identically."""
+    """Every implementation answers the same six verbs identically."""
 
-    @pytest.fixture(params=["local", "object"])
-    def backend(self, request, tmp_path):
-        if request.param == "local":
-            return LocalDiskBackend(tmp_path / "root", registry=MetricsRegistry())
+    @pytest.fixture(params=["object"])
+    def backend(self, tmp_path):
         return make_object_store(tmp_path)
 
     def test_put_get_roundtrip(self, backend):

@@ -63,11 +63,7 @@ def cold_object(vault, cid):
 
 
 def run_fingerprints(vault, run_id):
-    payload = next(
-        r for r in vault._catalog["runs"] if r["run_id"] == run_id
-    )
-    run = vault._load_run(payload)
-    return [fp for entry in run.files for fp in entry.fingerprints]
+    return [fp for entry in vault.run_entries(run_id) for fp in entry.fingerprints]
 
 
 def flip_cold_byte(vault, which=0, offset_fn=None):

@@ -9,13 +9,16 @@ via failover reads, and ``rebuild_node`` reconstructs the lost vault to
 a state that passes a deep audit and a clean scrub.
 """
 
+import errno
 import json
 import random
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.durability.fsshim import LocalFs
 from repro.durability.scrubber import Scrubber
 from repro.net import messages as m
 from repro.net.client import NetClient, RemoteError, RetryPolicy, WireSource
@@ -545,6 +548,52 @@ class TestNodeRebuild:
             rebuild_node(
                 "a", vault_a.root, {"b": (server_b.host, server_b.port)}
             )
+
+    def test_malformed_mirror_is_refused_before_anything_is_written(
+        self, cluster, tmp_path
+    ):
+        # The mirror is outside input.  Without its geometry the parent
+        # commit wrote a vault that then died on open with KeyError.
+        _, server_b, _ = self._populate_and_lose_a(cluster, tmp_path, runs=1)
+        mirror = server_b.replica_store.catalog("a")
+        del mirror["index_n_bits"]
+        server_b.replica_store.put_catalog("a", mirror)
+        with pytest.raises(RebuildError, match="index_n_bits"):
+            rebuild_node(
+                "a",
+                tmp_path / "a-rebuilt",
+                {"b": (server_b.host, server_b.port)},
+                retry=FAST_RETRY,
+            )
+        assert not (tmp_path / "a-rebuilt").exists()
+
+    def test_rebuild_interrupted_at_the_catalog_step_can_be_rerun(
+        self, cluster, tmp_path, monkeypatch
+    ):
+        # The catalog lands last and atomically: a crash while writing it
+        # leaves no vault behind (a bare write_text left a torn catalog
+        # that neither opened nor, "already holds a vault", rebuilt).
+        _, server_b, originals = self._populate_and_lose_a(cluster, tmp_path, runs=1)
+        write_file = LocalFs.write_file
+
+        def torn_catalog_write(fs, path, data):
+            if "catalog" in Path(path).name:
+                write_file(fs, path, data[: len(data) // 2])
+                raise OSError(errno.EIO, "injected crash", str(path))
+            write_file(fs, path, data)
+
+        peers = {"b": (server_b.host, server_b.port)}
+        monkeypatch.setattr(LocalFs, "write_file", torn_catalog_write)
+        with pytest.raises(OSError, match="injected crash"):
+            rebuild_node("a", tmp_path / "a-rebuilt", peers, retry=FAST_RETRY)
+        monkeypatch.undo()
+        report = rebuild_node("a", tmp_path / "a-rebuilt", peers, retry=FAST_RETRY)
+        assert report.audit_ok is True and report.catalog_runs == 1
+        with DebarVault(tmp_path / "a-rebuilt") as rebuilt:
+            dest = tmp_path / "rerun-restore"
+            rebuilt.restore(1, dest)
+            for name, payload in originals[1].items():
+                assert restored_bytes(dest, name) == payload
 
     def test_rebuild_without_catalog_holder_fails(self, cluster, tmp_path):
         _, _, server_b, _, _ = cluster

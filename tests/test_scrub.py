@@ -264,10 +264,12 @@ class TestRepair:
         report = Scrubber(vault).run(repair=True)  # no log copy, no peers
         assert report.unrepaired == 1
         assert report.degraded_files
+        # Assert on the committed file: the flag must survive a reopen.
         hex_fp = fp.hex()
+        catalog = json.loads((vault.root / "catalog.json").read_text())
         flagged = [
             f
-            for run in vault._catalog["runs"]
+            for run in catalog["runs"]
             for f in run["files"]
             if hex_fp in f["fingerprints"]
         ]
