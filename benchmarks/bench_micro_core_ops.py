@@ -15,6 +15,7 @@ from repro.core.preliminary_filter import PreliminaryFilter
 from repro.core.sil import SequentialIndexLookup
 from repro.core.siu import SequentialIndexUpdate
 from repro.chunking.rabin import RABIN_DEGREE, window_fingerprints
+from repro.durability.crc import crc32c, crc32c_combine
 
 
 def bench_sha1_fingerprinting(benchmark):
@@ -28,6 +29,25 @@ def bench_rabin_window_pass(benchmark, bits):
     and only the 13 the paper's anchor test reads (what a backup runs)."""
     data = np.random.default_rng(1).integers(0, 256, 256 * 1024, dtype=np.uint8).tobytes()
     benchmark(window_fingerprints, data, bits=bits)
+
+
+@pytest.mark.parametrize("size", [8 << 10, 64 << 10], ids=["8KiB", "64KiB"])
+def bench_crc32c(benchmark, size):
+    """The record checksum over one chunk-sized payload: the per-byte cost
+    every new chunk pays once on the write side and scrub pays per read."""
+    data = np.random.default_rng(2).integers(0, 256, size, dtype=np.uint8).tobytes()
+    benchmark(crc32c, data)
+    if benchmark.stats:  # absent under --benchmark-disable
+        mibps = size / (1 << 20) / benchmark.stats.stats.median
+        benchmark.extra_info["mib_per_s"] = round(mibps, 2)
+
+
+def bench_crc32c_combine(benchmark):
+    """Joining two known CRCs across an 11 KB payload: what replaces the
+    second pass over a new chunk (length-independent to within log2 n)."""
+    benchmark(crc32c_combine, 0x1234ABCD, 0x0BADF00D, 11_000)
+    if benchmark.stats:
+        benchmark.extra_info["us"] = round(benchmark.stats.stats.median * 1e6, 1)
 
 
 def bench_index_insert(benchmark):

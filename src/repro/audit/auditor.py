@@ -295,11 +295,11 @@ def audit_restorability(
     ``resolve(fp)`` maps a fingerprint to its container ID (or ``None``) —
     index plus checking file, or the cluster's owner routing.  With
     ``deep`` every referenced chunk's payload is verified (materialized
-    repositories only): serialized records against their stored CRC32C,
-    never-serialized (in-memory) records by re-hashing against the
-    fingerprint.  ``chunk_log``
-    (when given) lets a corrupt-payload finding say whether the scrubber
-    could repair it locally.
+    repositories only): records carrying a CRC32C (everything that came
+    through the persistent chunk log or off disk) against it, records
+    built without one (simulated systems) by re-hashing against the
+    fingerprint.  ``chunk_log`` (when given) lets a corrupt-payload
+    finding say whether the scrubber could repair it locally.
     """
     from repro.core.fingerprint import fingerprint as sha1
     from repro.durability.crc import crc32c
@@ -351,7 +351,7 @@ def audit_restorability(
                 data = container.get(fp)
                 if rec.crc is not None:
                     damaged = crc32c(data) != rec.crc
-                else:  # never serialized: no stored CRC yet, re-hash instead
+                else:  # built without a CRC (in-memory log): re-hash instead
                     damaged = sha1(data) != fp
                 if damaged:
                     report.add(

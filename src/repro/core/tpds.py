@@ -437,7 +437,9 @@ class TwoPhaseDeduplicator:
                     continue
                 if not writer.fits(record.size):
                     seal_current()
-                if not writer.add(record.fingerprint, data=record.data, size=record.size):
+                if not writer.add(
+                    record.fingerprint, data=record.data, size=record.size, crc=record.crc
+                ):
                     raise ValueError(
                         f"chunk of {record.size} bytes cannot fit an empty "
                         f"{self.container_bytes}-byte container"

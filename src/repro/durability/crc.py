@@ -9,6 +9,19 @@ with a slicing-by-8 table walk (8 bytes per loop iteration); if a native
 
 The checksum value is the standard one: ``crc32c(b"123456789") ==
 0xE3069283``.
+
+:func:`crc32c_combine` joins the checksums of two adjacent byte strings
+without touching the bytes again::
+
+    crc32c_combine(crc32c(a), crc32c(b), len(b)) == crc32c(a + b)
+
+A CRC is linear over GF(2): appending ``len(b)`` bytes multiplies the
+first string's checksum by ``x^(8*len(b)) mod P``, and the second
+string's checksum is XOR-ed in (zlib's ``crc32_combine``, on finalised
+values).  Because XOR is its own inverse the same call also *splits*:
+``crc32c_combine(crc32c(a), crc32c(a + b), len(b)) == crc32c(b)``.  This
+is what lets a chunk payload be checksummed once, where it first becomes
+durable, and still sit inside frames that cover a header as well.
 """
 
 from __future__ import annotations
@@ -59,6 +72,46 @@ def _crc32c_py(data: bytes, value: int = 0) -> int:
         crc = (crc >> 8) ^ _T0[(crc ^ mv[i]) & 0xFF]
         i += 1
     return crc ^ 0xFFFFFFFF
+
+
+def _multmodp(a: int, b: int) -> int:
+    """``a * b mod P`` over GF(2), both in the reflected bit order."""
+    p = 0
+    m = 1 << 31
+    while True:
+        if a & m:
+            p ^= b
+            if not a & (m - 1):
+                return p
+        m >>= 1
+        b = (b >> 1) ^ _POLY if b & 1 else b >> 1
+
+
+def _build_x2n() -> List[int]:
+    """``x^(2^k) mod P`` for k = 0..31 (x has order 2^32 - 1, so k wraps)."""
+    table = [1 << 30]  # x^1
+    for _ in range(31):
+        table.append(_multmodp(table[-1], table[-1]))
+    return table
+
+
+_X2N = _build_x2n()
+
+
+def crc32c_combine(crc_a: int, crc_b: int, len_b: int) -> int:
+    """CRC32C of ``a + b`` from ``crc32c(a)``, ``crc32c(b)`` and ``len(b)``.
+
+    Also the inverse: given ``crc32c(a)`` and ``crc32c(a + b)`` it returns
+    ``crc32c(b)``.  Costs a few dozen 32-step multiplies whatever the length.
+    """
+    shift = 1 << 31  # x^0
+    k = 3            # len_b counts bytes: start at x^(2^3)
+    while len_b:
+        if len_b & 1:
+            shift = _multmodp(_X2N[k & 31], shift)
+        len_b >>= 1
+        k += 1
+    return _multmodp(shift, crc_a & 0xFFFFFFFF) ^ (crc_b & 0xFFFFFFFF)
 
 
 try:  # pragma: no cover - depends on the host environment

@@ -118,9 +118,15 @@ def unpack_superblock(blob: bytes, *, artifact: str = "artifact") -> Tuple[Super
     return Superblock(kind, generation, bytes(blob[_SB_HEADER.size:end]), version), end + _CRC.size
 
 
-def frame_record(payload: bytes) -> bytes:
-    """Wrap one record payload in a CRC frame."""
-    return _FRAME_HEADER.pack(RECORD_MAGIC, len(payload), crc32c(payload)) + payload
+def frame_record(payload: bytes, crc: Optional[int] = None) -> bytes:
+    """Wrap one record payload in a CRC frame.
+
+    ``crc`` is the payload's CRC32C when the caller already holds it (the
+    chunk log combines it from the parts it checksummed once).
+    """
+    if crc is None:
+        crc = crc32c(payload)
+    return _FRAME_HEADER.pack(RECORD_MAGIC, len(payload), crc) + payload
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,8 @@ class ScannedRecord:
 
     offset: int        #: byte offset of the frame header
     payload: bytes
-    ok: bool           #: CRC matched
+    crc: int           #: the CRC32C stored in the frame header
+    ok: bool           #: it matched the payload
     error: Optional[str] = None
 
 
@@ -176,7 +183,7 @@ def scan_frames(blob: bytes, start: int = 0, *, artifact: str = "artifact") -> S
         ok = crc32c(payload) == crc
         result.records.append(
             ScannedRecord(
-                off, payload, ok, None if ok else f"CRC mismatch at offset {off}"
+                off, payload, crc, ok, None if ok else f"CRC mismatch at offset {off}"
             )
         )
         off = end

@@ -19,9 +19,11 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.core.fingerprint import FINGERPRINT_SIZE, Fingerprint
+from repro.durability.crc import crc32c, crc32c_combine
 from repro.durability.errors import DiskFullError
 from repro.durability.framing import (
     KIND_CHUNK_LOG,
+    ScannedRecord,
     Superblock,
     frame_record,
     scan_frames,
@@ -33,11 +35,18 @@ from repro.telemetry.registry import MetricsRegistry, get_registry
 
 @dataclass(frozen=True)
 class LogRecord:
-    """One ``<F, D(F)>`` group in the chunk log."""
+    """One ``<F, D(F)>`` group in the chunk log.
+
+    ``crc`` is the CRC32C ``data`` had when it was first written to the
+    persistent log; chunk storing hands it on to the container so the
+    payload is never checksummed a second time.  Only the in-memory
+    :class:`ChunkLog` of the simulated systems leaves it ``None``.
+    """
 
     fingerprint: Fingerprint
     size: int
     data: Optional[bytes] = None
+    crc: Optional[int] = None
 
     @property
     def log_bytes(self) -> int:
@@ -70,7 +79,9 @@ class ChunkLog:
             raise ValueError("either data or size is required")
         if size < 0:
             raise ValueError("chunk size must be non-negative")
-        record = LogRecord(fp, size, data)
+        self._admit(LogRecord(fp, size, data))
+
+    def _admit(self, record: LogRecord) -> None:
         self._records.append(record)
         self._bytes += record.log_bytes
         self._t_appends.inc()
@@ -101,6 +112,22 @@ class ChunkLog:
 #: Framed log-record payload header: fingerprint, size, flags.
 _LOG_RECORD = struct.Struct(f"<{FINGERPRINT_SIZE}sIB")
 _FLAG_HAS_DATA = 0x01
+
+
+def _frame_group(record: LogRecord) -> bytes:
+    """The on-disk frame of one group.
+
+    The frame CRC covers ``record header + payload``; it is combined from
+    the header's CRC and the payload CRC the record carries, so the
+    payload bytes are not walked again.
+    """
+    flags = _FLAG_HAS_DATA if record.data is not None else 0
+    head = _LOG_RECORD.pack(record.fingerprint, record.size, flags)
+    if record.data is None:
+        return frame_record(head)
+    return frame_record(
+        head + record.data, crc32c_combine(crc32c(head), record.crc, record.size)
+    )
 
 
 class PersistentChunkLog(ChunkLog):
@@ -169,7 +196,7 @@ class PersistentChunkLog(ChunkLog):
         scan = scan_frames(blob, off, artifact=f"chunk log {self.path.name}")
         for rec in scan.records:
             if rec.ok:
-                self._load_payload(rec.payload)
+                self._load_frame(rec)
             else:
                 self.corrupt_records.append((rec.offset, rec.payload))
         if scan.stopped_reason is not None:
@@ -180,11 +207,17 @@ class PersistentChunkLog(ChunkLog):
             self.recovered_torn_bytes = scan.torn_bytes
             self.fs.truncate(self.path, scan.valid_end)
 
-    def _load_payload(self, payload: bytes) -> None:
-        fp, size, flags = _LOG_RECORD.unpack_from(payload, 0)
-        data = payload[_LOG_RECORD.size :] if flags & _FLAG_HAS_DATA else None
+    def _load_frame(self, frame: ScannedRecord) -> None:
+        head = frame.payload[: _LOG_RECORD.size]
+        fp, size, flags = _LOG_RECORD.unpack(head)
+        data = crc = None
+        if flags & _FLAG_HAS_DATA:
+            data = frame.payload[_LOG_RECORD.size :]
+            # The scan just verified frame.crc over head + data: split the
+            # payload's own CRC back out of it instead of a second pass.
+            crc = crc32c_combine(crc32c(head), frame.crc, len(data))
         # Reload bypasses the telemetry counters: these are not new appends.
-        record = LogRecord(fp, size, data)
+        record = LogRecord(fp, size, data, crc)
         self._records.append(record)
         self._bytes += record.log_bytes
 
@@ -194,9 +227,10 @@ class PersistentChunkLog(ChunkLog):
             size = len(data)
         elif size is None:
             raise ValueError("either data or size is required")
-        flags = _FLAG_HAS_DATA if data is not None else 0
-        payload = _LOG_RECORD.pack(fp, size, flags) + (data or b"")
-        frame = frame_record(payload)
+        # The one pass over a new chunk's bytes: everything downstream
+        # (this frame, the container record) reuses the value.
+        record = LogRecord(fp, size, data, crc32c(data) if data is not None else None)
+        frame = _frame_group(record)
         try:
             io_retry(
                 lambda: self.fs.append_file(self.path, frame),
@@ -208,7 +242,7 @@ class PersistentChunkLog(ChunkLog):
                     f"chunk log {self.path.name}: {exc}", artifact="chunk log"
                 ) from exc
             raise
-        super().append(fp, data=data, size=None if data is not None else size)
+        self._admit(record)
 
     def clear(self) -> None:
         # Rewriting the file would silently destroy any corrupt frames
@@ -235,10 +269,7 @@ class PersistentChunkLog(ChunkLog):
         for _offset, payload in self.corrupt_records:
             self._quarantine(payload)
         parts = [self._superblock()]
-        for record in self._records:
-            flags = _FLAG_HAS_DATA if record.data is not None else 0
-            payload = _LOG_RECORD.pack(record.fingerprint, record.size, flags)
-            parts.append(frame_record(payload + (record.data or b"")))
+        parts.extend(_frame_group(record) for record in self._records)
         self.fs.write_file(self.path, b"".join(parts))
         self.corrupt_records = []
         self.recovered_torn_bytes = 0

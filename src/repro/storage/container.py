@@ -66,10 +66,14 @@ def default_payload(fp: Fingerprint, size: int) -> bytes:
 class ChunkRecord:
     """One chunk's metadata inside a container.
 
-    ``crc`` is the CRC32C of the chunk payload, present once the container
-    has been through the framed on-disk format (``None`` for records that
-    were never serialized); it never takes part in equality so sealed and
-    reloaded containers still compare.
+    ``crc`` is the CRC32C of the chunk payload, taken once when the bytes
+    first became durable (the chunk-log append) and carried from there:
+    log record, this record, the on-disk container record, and any later
+    copy-forward.  Only records built without one — the simulated systems'
+    in-memory log, a payload the scrubber has just SHA-1-verified and
+    rewritten — are ``None``, and :meth:`Container.serialize` checksums
+    those.  It never takes part in equality so sealed and reloaded
+    containers still compare.
     """
 
     fingerprint: Fingerprint
@@ -110,9 +114,9 @@ def verify_records(
     offset — a slice of an in-memory image, a :class:`SegmentBuffer` over
     a few coalesced range GETs, or a raw backend ``get_range``.  This is
     what lets deep verify of a *cold* container check exactly the suspect
-    records instead of downloading the whole image.  Serialized records
-    verify via CRC32C; a record that never went through the on-disk format
-    (no CRC yet) re-hashes against its fingerprint.
+    records instead of downloading the whole image.  Records carrying a
+    CRC verify via CRC32C; one built without (see :class:`ChunkRecord`)
+    re-hashes against its fingerprint.
     """
     faults: List[PayloadFault] = []
     for rec in records:
@@ -200,7 +204,8 @@ class Container:
         Layout: superblock (kind ``CTR``, generation = container ID,
         payload = ID + record count + metadata CRC), then one framed
         record per chunk carrying its payload CRC32C, then the data
-        section, zero-padded to the fixed capacity.
+        section, zero-padded to the fixed capacity.  A record's carried
+        CRC is written as is — never recomputed from ``data``.
         """
         if self.data is None:
             raise ValueError("cannot serialise a metadata-only container")
@@ -336,10 +341,17 @@ class ContainerWriter:
         """Would a chunk of ``chunk_size`` bytes fit?"""
         return self.used_bytes + _FRAMED_RECORD.size + chunk_size <= self.capacity
 
-    def add(self, fp: Fingerprint, data: Optional[bytes] = None, size: Optional[int] = None) -> bool:
+    def add(
+        self,
+        fp: Fingerprint,
+        data: Optional[bytes] = None,
+        size: Optional[int] = None,
+        crc: Optional[int] = None,
+    ) -> bool:
         """Append one chunk; return False (and change nothing) if it won't fit.
 
-        Pass ``data`` for real chunks, or ``size`` alone for virtual ones.
+        Pass ``data`` for real chunks, or ``size`` alone for virtual ones;
+        ``crc`` is the payload CRC32C the chunk already carries, if any.
         """
         if data is not None:
             size = len(data)
@@ -349,7 +361,7 @@ class ContainerWriter:
             raise ValueError("chunk size must be non-negative")
         if not self.fits(size):
             return False
-        self._records.append(ChunkRecord(fp, size, self._data_size))
+        self._records.append(ChunkRecord(fp, size, self._data_size, crc))
         if self._data is not None:
             if data is None:
                 raise ValueError("materialized writer requires chunk data")

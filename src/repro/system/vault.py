@@ -622,7 +622,9 @@ class DebarVault:
                 if not writer.fits(record.size):
                     seal_writer()
                     writer = ContainerWriter(self.container_bytes, materialize=True)
-                writer.add(record.fingerprint, data=payload)
+                # The stored CRC moves with the chunk: recomputing it from
+                # bytes read back would bless any rot they picked up.
+                writer.add(record.fingerprint, data=payload, crc=record.crc)
                 pending.append(record.fingerprint)
                 report.live_chunks_copied += 1
             for record in container.records:

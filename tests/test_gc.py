@@ -1,10 +1,15 @@
 """Tests for retention (forget) and garbage collection in the vault."""
 
 import json
+import random
 
 import pytest
 
+from repro.backend.lifecycle import LifecycleManager, LifecyclePolicy
 from repro.core.disk_index import DiskIndex
+from repro.durability.errors import CorruptionError
+from repro.durability.fsshim import flip_byte_on_disk
+from repro.durability.scrubber import Scrubber
 from repro.system import DebarVault, VaultError
 from repro.workloads import FileTreeGenerator, mutate_tree
 from tests.conftest import make_fps
@@ -183,6 +188,98 @@ class TestGc:
         with DebarVault(tmp_path / "vault") as reopened:
             assert reopened.verify()["runs"] == 1
             reopened.restore(run2.run_id, tmp_path / "out3", strip_prefix=tmp_path)
+
+
+class TestGcCarriesChecksums:
+    """Copy-forward must move a chunk's stored CRC with it.
+
+    ``gc`` used to re-add live chunks without their CRC, so ``serialize``
+    computed a fresh one from whatever bytes had been read back: rot in a
+    live payload came out of gc with a matching checksum — invisible to
+    ``scrub`` (and to ``scrub --repair``'s sources) for good, while
+    ``verify --deep`` still failed on the SHA-1.
+    """
+
+    @staticmethod
+    def rotted_vault(tmp_path, cold):
+        """keep + drop backed up, keep alone backed up, run 1 forgotten,
+        one payload byte of a live chunk flipped in a container that also
+        holds dead chunks.  Returns (vault, damaged fingerprint)."""
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "drop.bin").write_bytes(random.Random(1).randbytes(300_000))
+        (src / "keep.bin").write_bytes(random.Random(2).randbytes(100_000))
+        vault = DebarVault(tmp_path / "vault", container_bytes=256 * 1024)
+        run1 = vault.backup("docs", [src])
+        (src / "drop.bin").unlink()
+        vault.backup("docs", [src])
+        if cold:
+            vault.enable_cold_tier()
+            policy = LifecyclePolicy(min_age_runs=0, min_idle_runs=0)
+            assert LifecycleManager(vault, policy).migrate().migrated
+        vault.forget(run1.run_id)
+        live = vault.live_fingerprints()
+        for cid in vault.repository.container_ids():
+            container = vault.repository.fetch(cid)
+            victims = [r for r in container.records if r.fingerprint in live]
+            if victims and len(victims) < len(container.records):
+                break
+        else:
+            raise AssertionError("no container mixes live and dead chunks")
+        rec = victims[0]
+        tier = "cold" if cold else "containers"
+        assert vault.repository.tier_of(cid) == ("cold" if cold else "hot")
+        flip_byte_on_disk(
+            vault.root / tier / f"{cid:012x}.ctr",
+            container.data_start + rec.offset + rec.size // 2,
+            0xFF,
+        )
+        vault.repository.invalidate(cid)
+        return vault, rec.fingerprint
+
+    @staticmethod
+    def crc_findings(vault):
+        report = Scrubber(vault).run()
+        assert all("payload CRC mismatch" in f.detail for f in report.findings)
+        return [f.fingerprint for f in report.findings]
+
+    @pytest.mark.parametrize("cold", [False, True], ids=["hot", "cold"])
+    def test_gc_does_not_launder_bit_rot(self, tmp_path, cold):
+        vault, fp = self.rotted_vault(tmp_path, cold)
+        assert self.crc_findings(vault) == [fp]
+        report = vault.gc(rewrite_threshold=0.9)
+        assert report.containers_rewritten >= 1 and report.live_chunks_copied > 1
+        # The damaged chunk moved; its CRC moved with it, so scrub still
+        # sees exactly that payload (before the fix: CLEAN).
+        assert self.crc_findings(vault) == [fp]
+        with pytest.raises(CorruptionError, match="does not match its fingerprint"):
+            vault.verify(deep=True)
+
+    def test_cli_scrub_exits_3_after_gc(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        vault, fp = self.rotted_vault(tmp_path, cold=False)
+        vault.close()
+        root = str(tmp_path / "vault")
+        assert cli_main(["gc", "--vault", root, "--rewrite-threshold", "0.9"]) == 0
+        capsys.readouterr()
+        assert cli_main(["scrub", "--vault", root]) == 3
+        assert f"payload CRC mismatch for {fp.hex()[:12]}" in capsys.readouterr().out
+
+    def test_copied_records_keep_their_stored_crcs(self, tmp_path):
+        vault, _, run1, _ = vault_with_two_generations(tmp_path, overlap=True)
+        stored = {
+            rec.fingerprint: rec.crc
+            for cid in vault.repository.container_ids()
+            for rec in vault.repository.fetch(cid).records
+        }
+        assert None not in stored.values()
+        vault.forget(run1.run_id)
+        assert vault.gc(rewrite_threshold=1.0).live_chunks_copied
+        for cid in vault.repository.container_ids():
+            vault.repository.invalidate(cid)  # read the images, not the cache
+            for rec in vault.repository.fetch(cid).records:
+                assert rec.crc == stored[rec.fingerprint]
 
 
 class TestGcCli:
