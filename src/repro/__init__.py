@@ -27,7 +27,9 @@ Package map: :mod:`repro.core` (disk index, TPDS), :mod:`repro.chunking`
 (Rabin/CDC), :mod:`repro.storage` (containers, repository, LPC),
 :mod:`repro.simdisk` (calibrated device cost models), :mod:`repro.baselines`
 (DDFS, Venti, Bloom), :mod:`repro.director` / :mod:`repro.client` /
-:mod:`repro.server` (the Figure 2 tiers), :mod:`repro.system` (facades),
+:mod:`repro.server` (the Figure 2 tiers; ``BackupServer`` is the one
+engine), :mod:`repro.system` (its facades: ``DebarVault`` on disk,
+``DebarSystem`` and each ``DebarCluster`` node simulated),
 :mod:`repro.workloads` and :mod:`repro.analysis`.
 """
 

@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.chunking.cdc import Chunk, ContentDefinedChunker
 from repro.director.metadata import FileIndexEntry, FileMetadata
-from repro.server.chunk_store import ChunkStore
 from repro.telemetry.registry import MetricsRegistry, get_registry
 
 PathLike = Union[str, Path]
@@ -91,15 +90,24 @@ class BackupEngine:
         for path in self.scan_dataset(dataset):
             yield self.read_file(path)
 
+    def iter_stream(
+        self, dataset: Sequence[PathLike]
+    ) -> Iterator[Tuple[FileMetadata, List[Tuple[bytes, int, bytes]]]]:
+        """:meth:`iter_dataset` as a backup server's dedup-1 stream: each
+        chunk as ``(fingerprint, size, data)``."""
+        for metadata, chunks in self.iter_dataset(dataset):
+            yield metadata, [(c.fingerprint, c.size, c.data) for c in chunks]
+
     # -- restore side ----------------------------------------------------------------
     def restore_file(
         self,
         entry: FileIndexEntry,
-        chunk_store: ChunkStore,
+        chunk_store,
         dest_dir: PathLike,
         strip_prefix: PathLike = "/",
     ) -> Path:
-        """Rebuild one file from its file index into ``dest_dir``."""
+        """Rebuild one file from its file index into ``dest_dir``, reading
+        chunks from ``chunk_store`` (anything with ``read_chunk``)."""
         dest_dir = Path(dest_dir)
         rel = Path(entry.metadata.path)
         try:
@@ -125,7 +133,7 @@ class BackupEngine:
     def restore_run(
         self,
         entries: Iterable[FileIndexEntry],
-        chunk_store: ChunkStore,
+        chunk_store,
         dest_dir: PathLike,
         strip_prefix: PathLike = "/",
     ) -> List[Path]:

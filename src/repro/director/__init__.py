@@ -4,7 +4,6 @@ from repro.director.jobs import JobObject, JobRun, JobChain, Schedule
 from repro.director.metadata import FileMetadata, FileIndexEntry, MetadataManager, MetadataStore
 from repro.director.scheduler import JobScheduler, Dedup2Policy
 from repro.director.director import Director
-from repro.director.ensemble import DirectorEnsemble
 
 __all__ = [
     "JobObject",
@@ -18,5 +17,4 @@ __all__ = [
     "JobScheduler",
     "Dedup2Policy",
     "Director",
-    "DirectorEnsemble",
 ]

@@ -8,8 +8,8 @@ boundaries real.  It provides, bottom up:
   layer with a handshake (DESIGN.md §9.1).
 - :mod:`repro.net.messages` — the typed message catalogue: batched
   preliminary-filter queries, chunk appends into the chunk log, metadata
-  put/get, the dedup-2 trigger, PSIL/PSIU fingerprint exchange and
-  LPC-backed chunk reads (DESIGN.md §9.2).
+  put/get, the dedup-2 trigger and LPC-backed chunk reads
+  (DESIGN.md §9.2).
 - :mod:`repro.net.aioserver` — the asyncio frame-server skeleton (bind,
   lifecycle, task tracking, frame I/O) under both daemons, ``repro
   serve`` and ``repro route``.
@@ -27,9 +27,6 @@ boundaries real.  It provides, bottom up:
 - :mod:`repro.net.faults` — deterministic frame-level fault injection
   (drop / truncate / duplicate), the network face of
   :mod:`repro.audit.faults`.
-- :mod:`repro.net.exchange` — a loopback all-to-all fingerprint exchange
-  so :class:`~repro.system.cluster.DebarCluster` PSIL/PSIU volumes are
-  measured on a real wire.
 
 Every byte in or out is counted under the ``net.*`` telemetry names
 (DESIGN.md §8): ``net.bytes_sent`` / ``net.bytes_received`` (labelled by

@@ -75,10 +75,6 @@ VERIFY_OK = 0x2D
 FORGET = 0x2E
 FORGET_OK = 0x2F
 
-# Cluster fingerprint exchange (PSIL/PSIU over loopback sockets).
-EXCHANGE = 0x30
-EXCHANGE_OK = 0x31
-
 # Replication (DESIGN.md §11): container shipping, replica inventory,
 # rebuild pulls, and catalog mirroring.
 CONTAINER_PUSH = 0x40
@@ -142,7 +138,6 @@ RESPONSE_OF: Dict[int, int] = {
     GC: GC_OK,
     VERIFY: VERIFY_OK,
     FORGET: FORGET_OK,
-    EXCHANGE: EXCHANGE_OK,
     CONTAINER_PUSH: CONTAINER_PUSH_OK,
     REPL_STATUS: REPL_STATUS_OK,
     CONTAINER_FETCH: CONTAINER_IMAGE,
@@ -196,8 +191,6 @@ MSG_NAMES: Dict[int, str] = {
     VERIFY_OK: "verify_ok",
     FORGET: "forget",
     FORGET_OK: "forget_ok",
-    EXCHANGE: "exchange",
-    EXCHANGE_OK: "exchange_ok",
     CONTAINER_PUSH: "container_push",
     CONTAINER_PUSH_OK: "container_push_ok",
     REPL_STATUS: "repl_status",
@@ -404,53 +397,6 @@ def decode_file_entries(payload: bytes, offset: int = 0) -> Tuple[List[Tuple[dic
         meta, fps, offset = decode_file_entry(payload, offset)
         out.append((meta, fps))
     return out, offset
-
-
-# -- exchange payloads (cluster PSIL/PSIU) ---------------------------------------
-_U64 = struct.Struct(">Q")
-
-
-def encode_cid_records(records: Sequence[Tuple[Fingerprint, int]]) -> bytes:
-    """(fingerprint, container id) result records (PSIU routing)."""
-    parts = [_U32.pack(len(records))]
-    for fp, cid in records:
-        if len(fp) != FINGERPRINT_SIZE:
-            raise MessageError(f"fingerprint of {len(fp)} bytes, need {FINGERPRINT_SIZE}")
-        parts.append(bytes(fp) + _U64.pack(cid))
-    return b"".join(parts)
-
-
-def decode_cid_records(payload: bytes, offset: int = 0) -> Tuple[List[Tuple[Fingerprint, int]], int]:
-    count, offset = _take_u32(payload, offset)
-    record = FINGERPRINT_SIZE + 8
-    if count * record > len(payload) - offset:
-        raise MessageError(f"cid record list declares {count} entries beyond payload end")
-    out: List[Tuple[Fingerprint, int]] = []
-    for _ in range(count):
-        fp, offset = _take(payload, offset, FINGERPRINT_SIZE)
-        blob, offset = _take(payload, offset, 8)
-        out.append((fp, _U64.unpack(blob)[0]))
-    return out, offset
-
-
-def encode_exchange(sender: int, parts: Dict[int, Sequence[Fingerprint]]) -> bytes:
-    """One server's outgoing routing table: owner -> fingerprints."""
-    out = [_U32.pack(sender), _U32.pack(len(parts))]
-    for owner in sorted(parts):
-        out.append(_U32.pack(owner))
-        out.append(encode_fps(parts[owner]))
-    return b"".join(out)
-
-
-def decode_exchange(payload: bytes, offset: int = 0) -> Tuple[int, Dict[int, List[Fingerprint]], int]:
-    sender, offset = _take_u32(payload, offset)
-    n_parts, offset = _take_u32(payload, offset)
-    parts: Dict[int, List[Fingerprint]] = {}
-    for _ in range(n_parts):
-        owner, offset = _take_u32(payload, offset)
-        fps, offset = decode_fps(payload, offset)
-        parts[owner] = fps
-    return sender, parts, offset
 
 
 # -- replication payloads (DESIGN.md §11) ----------------------------------------

@@ -601,7 +601,7 @@ class VaultProtocolServer(AsyncFrameServer):
         doc = m.decode_json(payload)
         force = doc.get("force_siu")
         with self.vault_lock:
-            stats = self.vault.chunk_store.run_dedup2(force_siu=force)
+            stats = self.vault.tpds.dedup2(force_siu=force)
         return m.DEDUP2_OK, m.encode_json({
             "new_chunks_stored": stats.new_chunks_stored,
             "new_bytes_stored": stats.new_bytes_stored,
@@ -841,13 +841,6 @@ class VaultProtocolServer(AsyncFrameServer):
             {"retention": policy.spec(), "expired": expired}
         )
 
-    def _on_exchange(self, payload: bytes) -> Tuple[int, bytes]:
-        # The daemon is single-vault; EXCHANGE belongs to the cluster
-        # loopback transport (repro.net.exchange), which runs its own
-        # acceptor.  Answer with an empty ack so probes don't hang.
-        sender, parts, _ = m.decode_exchange(payload)
-        return m.EXCHANGE_OK, m.encode_json({"sender": sender, "parts": len(parts)})
-
     # -- the event loop core ------------------------------------------------------
     async def _main(self) -> None:
         self._track(asyncio.ensure_future(self._session_sweeper()))
@@ -997,7 +990,6 @@ _HANDLERS: Dict[int, Callable[[VaultProtocolServer, bytes], Tuple[int, bytes]]] 
     m.GC: VaultProtocolServer._on_gc,
     m.VERIFY: VaultProtocolServer._on_verify,
     m.FORGET: VaultProtocolServer._on_forget,
-    m.EXCHANGE: VaultProtocolServer._on_exchange,
     m.CONTAINER_PUSH: VaultProtocolServer._on_container_push,
     m.CATALOG_PUSH: VaultProtocolServer._on_catalog_push,
     m.REPL_STATUS: VaultProtocolServer._on_repl_status,

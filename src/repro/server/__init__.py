@@ -1,13 +1,12 @@
-"""Backup servers: File Store (dedup-1), Chunk Store (dedup-2 + retrieval)."""
+"""Backup servers: one engine (TPDS, dedup-1 sessions, Chunk Store) under
+every facade."""
 
-from repro.server.file_store import FileStore, BackupSession
 from repro.server.chunk_store import ChunkStore
-from repro.server.backup_server import BackupServer, BackupServerConfig
+from repro.server.backup_server import BackupServer, BackupServerConfig, stream_file
 
 __all__ = [
-    "FileStore",
-    "BackupSession",
     "ChunkStore",
     "BackupServer",
     "BackupServerConfig",
+    "stream_file",
 ]

@@ -1,6 +1,6 @@
-"""The Chunk Store module: dedup-2 execution and chunk retrieval (Section 3.3).
+"""The Chunk Store module: chunk retrieval (Section 3.3).
 
-Dedup-2 (SIL -> chunk storing -> SIU) is delegated to the TPDS engine.  The
+Dedup-2 (SIL -> chunk storing -> SIU) is the TPDS engine's own.  The
 retrieval path implements the paper's LPC flow: look in the in-memory cache
 first; on a miss, one random disk-index lookup locates the container, the
 container is read and its *whole* fingerprint group cached, and the chunk
@@ -10,16 +10,16 @@ almost always (99.3 % in the paper's measurement).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.core.fingerprint import Fingerprint
-from repro.core.tpds import Dedup2Stats, TwoPhaseDeduplicator
+from repro.core.tpds import TwoPhaseDeduplicator
 from repro.storage.container import default_payload
 from repro.storage.lpc import LocalityPreservedCache
 
 
 class ChunkStore:
-    """Dedup-2 driver and LPC-backed chunk reader for one backup server."""
+    """The LPC-backed chunk reader of one backup server."""
 
     def __init__(
         self,
@@ -33,12 +33,6 @@ class ChunkStore:
         self.random_lookups = 0
         self.container_fetches = 0
 
-    # -- dedup-2 ------------------------------------------------------------------
-    def run_dedup2(self, force_siu: Optional[bool] = None) -> Dedup2Stats:
-        """Execute SIL, chunk storing and (policy-driven) SIU."""
-        return self._tpds.dedup2(force_siu=force_siu)
-
-    # -- retrieval ------------------------------------------------------------------
     def read_chunk(self, fp: Fingerprint) -> bytes:
         """Read one chunk by fingerprint through the LPC (Section 3.3)."""
         tpds = self._tpds

@@ -62,14 +62,21 @@ class LocalityPreservedCache:
         while len(self._groups) > self.capacity:
             self._evict()
 
+    def discard(self, container_id: int) -> None:
+        """Forget a container that no longer exists (``gc`` removed it), so
+        no lookup routes a read to it."""
+        self._drop(container_id, self._groups.pop(container_id, ()))
+
     def _evict(self) -> None:
-        evicted_cid, group = self._groups.popitem(last=False)
+        self._drop(*self._groups.popitem(last=False))
+        self.evictions += 1
+
+    def _drop(self, container_id: int, group: Iterable[Fingerprint]) -> None:
         for fp in group:
             # A fingerprint can appear in one container only (dedup invariant),
             # but guard against having been re-pointed by a newer group.
-            if self._fp_to_cid.get(fp) == evicted_cid:
+            if self._fp_to_cid.get(fp) == container_id:
                 del self._fp_to_cid[fp]
-        self.evictions += 1
 
     def __contains__(self, container_id: int) -> bool:
         return container_id in self._groups

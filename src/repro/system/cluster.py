@@ -37,10 +37,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.fingerprint import FINGERPRINT_SIZE, Fingerprint
 from repro.core.sil import SequentialIndexLookup
 from repro.core.tpds import Dedup1Stats, StreamChunk
-from repro.director.director import Director  # noqa: F401 (used by scale_out)
+from repro.director.director import Director
 from repro.director.jobs import JobObject
 from repro.director.scheduler import Dedup2Policy
-from repro.server.backup_server import BackupServer, BackupServerConfig
+from repro.server.backup_server import BackupServer, BackupServerConfig, stream_file
 from repro.simdisk import NetworkModel, paper_network
 from repro.simdisk.clock import barrier
 from repro.telemetry.registry import MetricsRegistry, get_registry
@@ -122,9 +122,7 @@ class DebarCluster:
         policy: Optional[Dedup2Policy] = None,
         network: Optional[NetworkModel] = None,
         repository_nodes: Optional[int] = None,
-        n_directors: int = 1,
         telemetry: Optional[MetricsRegistry] = None,
-        wire_exchange: bool = False,
     ) -> None:
         if w_bits < 0:
             raise ValueError("w_bits must be non-negative")
@@ -139,40 +137,14 @@ class DebarCluster:
         )
         if policy is None:
             policy = Dedup2Policy(undetermined_threshold=self.config.cache_capacity)
-        if n_directors > 1:
-            # Section 6.3's future-work topology: jobs sharded over a
-            # director ensemble presenting the single-director interface.
-            from repro.director.ensemble import DirectorEnsemble
-
-            self.director = DirectorEnsemble(
-                n_directors, n_servers=self.n_servers, policy=policy
-            )
-        else:
-            self.director = Director(n_servers=self.n_servers, policy=policy)
+        self.director = Director(n_servers=self.n_servers, policy=policy)
         self.servers = [
             BackupServer(k, self.repository, config=self.config, w_bits=w_bits)
             for k in range(self.n_servers)
         ]
         self._rounds_since_psiu = 0
-        #: Route PSIL/PSIU exchanges through loopback sockets (repro.net):
-        #: volumes are then *measured* on a real wire, not just computed.
-        self.wire_exchange = wire_exchange
-        self._wire = None
+        self._engines = {}
         self._bind_instruments(telemetry)
-
-    def _wire_transport(self):
-        """The loopback exchange transport (created on first use)."""
-        if self._wire is None:
-            from repro.net.exchange import LoopbackExchange
-
-            self._wire = LoopbackExchange(self.n_servers, registry=self.telemetry)
-        return self._wire
-
-    def close(self) -> None:
-        """Release the loopback exchange transport, if one was opened."""
-        if self._wire is not None:
-            self._wire.close()
-            self._wire = None
 
     def _bind_instruments(self, registry: Optional[MetricsRegistry]) -> None:
         """Bind per-server exchange/phase counters (no-ops when disabled)."""
@@ -221,27 +193,13 @@ class DebarCluster:
         load-balanced) backup server; servers work on their own clock lanes
         and a barrier closes the round.
         """
-        stats = ClusterBackupStats()
-        t0 = max(lane.now for lane in self._lanes())
-        for job, stream in assignments:
-            server_id = self.director.assign_backup(job)
-            server = self.servers[server_id]
-            run = self.director.begin_run(job, timestamp, server_id)
-            filtering = self.director.filtering_fingerprints(job)
-            session = server.file_store.begin_session(filtering)
-            session.add_fingerprint_stream(stream, path=f"{job.name}@{timestamp}")
-            d1, entries = session.close()
-            run.logical_bytes = d1.logical_bytes
-            run.transferred_bytes = d1.transferred_bytes
-            run.chunk_count = d1.logical_chunks
-            self.director.complete_run(run, entries)
-            stats.per_server.append(d1)
-            stats.logical_bytes += d1.logical_bytes
-            stats.transferred_bytes += d1.transferred_bytes
-            stats.logical_chunks += d1.logical_chunks
-        barrier(self._lanes())
-        stats.wall_time = max(lane.now for lane in self._lanes()) - t0
-        return stats
+        return self._backup_round(
+            (
+                (job, [stream_file(f"{job.name}@{timestamp}", stream)])
+                for job, stream in assignments
+            ),
+            timestamp,
+        )
 
     def backup_datasets(
         self,
@@ -254,18 +212,19 @@ class DebarCluster:
         the jobs' (sticky) backup servers.  Requires
         ``config.materialize=True`` so payloads are stored for restore.
         """
+        return self._backup_round(
+            ((job, self._engine(job.client).iter_stream(job.dataset)) for job in jobs),
+            timestamp,
+        )
+
+    def _backup_round(self, assignments, timestamp: float) -> ClusterBackupStats:
         stats = ClusterBackupStats()
         t0 = max(lane.now for lane in self._lanes())
-        for job in jobs:
-            engine = self._engine(job.client)
+        for job, files in assignments:
             server_id = self.director.assign_backup(job)
-            server = self.servers[server_id]
             run = self.director.begin_run(job, timestamp, server_id)
             filtering = self.director.filtering_fingerprints(job)
-            session = server.file_store.begin_session(filtering)
-            for metadata, chunks in engine.iter_dataset(job.dataset):
-                session.add_file(metadata, chunks)
-            d1, entries = session.close()
+            d1, entries = self.servers[server_id].backup(files, filtering)
             run.logical_bytes = d1.logical_bytes
             run.transferred_bytes = d1.transferred_bytes
             run.chunk_count = d1.logical_chunks
@@ -293,8 +252,6 @@ class DebarCluster:
     def _engine(self, client: str):
         from repro.client.backup_client import BackupEngine
 
-        if not hasattr(self, "_engines"):
-            self._engines = {}
         if client not in self._engines:
             self._engines[client] = BackupEngine(client)
         return self._engines[client]
@@ -362,19 +319,10 @@ class DebarCluster:
                 ],
             )
             # delivered[k][j] = fingerprints server k received from server j.
-            # Either carried over real loopback sockets (wire mode) or by
-            # list passing; the simulated charge above applies to both.
-            if self.wire_exchange:
-                delivered = self._wire_transport().exchange_fingerprints(outgoing)
-            else:
-                delivered = [
-                    {
-                        j: parts[k]
-                        for j, parts in enumerate(outgoing)
-                        if parts.get(k)
-                    }
-                    for k in range(self.n_servers)
-                ]
+            delivered = [
+                {j: parts[k] for j, parts in enumerate(outgoing) if parts.get(k)}
+                for k in range(self.n_servers)
+            ]
             barrier(lanes)
 
         # -- Phase 2: PSIL on every index part concurrently.
@@ -470,21 +418,9 @@ class DebarCluster:
                 stats.new_bytes_stored += s_stats.new_bytes_stored
                 stats.log_bytes_processed += s_stats.log_bytes_processed
                 stats.containers_written += s_stats.containers_written
-            if self.wire_exchange:
-                route: List[Dict[int, List[Tuple[Fingerprint, int]]]] = [
-                    defaultdict(list) for _ in self.servers
-                ]
-                for j in range(self.n_servers):
-                    for fp, cid in stored_by_origin[j].items():
-                        route[j][self.owner_of(fp)].append((fp, cid))
-                inbound = self._wire_transport().exchange_records(route)
-                for k in range(self.n_servers):
-                    for j in sorted(inbound[k]):
-                        stored_by_owner[k].update(inbound[k][j])
-            else:
-                for j in range(self.n_servers):
-                    for fp, cid in stored_by_origin[j].items():
-                        stored_by_owner[self.owner_of(fp)][fp] = cid
+            for j in range(self.n_servers):
+                for fp, cid in stored_by_origin[j].items():
+                    stored_by_owner[self.owner_of(fp)][fp] = cid
             barrier(lanes)
             store_span.set_io(bytes_in=stats.log_bytes_processed,
                               bytes_out=stats.new_bytes_stored)
@@ -580,11 +516,6 @@ class DebarCluster:
         ``run_dedup2(force_psiu=True)`` first).  Returns the new cluster;
         the old object must not be used afterwards.
         """
-        if not isinstance(self.director, Director):
-            raise NotImplementedError(
-                "scale_out currently supports single-director clusters; "
-                "rebuild a DirectorEnsemble cluster at the new width instead"
-            )
         for server in self.servers:
             if server.undetermined_count or server.tpds.chunk_log:
                 raise RuntimeError(
@@ -610,11 +541,7 @@ class DebarCluster:
         new.director._chains = self.director._chains
         new.director.dedup2_runs = self.director.dedup2_runs
         new._rounds_since_psiu = 0
-        # The wire transport is sized to the server count; the doubled
-        # cluster opens a fresh one on first use.
-        new.wire_exchange = self.wire_exchange
-        new._wire = None
-        self.close()
+        new._engines = self._engines
         new._bind_instruments(self.telemetry)
         new.servers = []
         for server in self.servers:

@@ -22,7 +22,7 @@ from repro.core.tpds import Dedup1Stats, Dedup2Stats, StreamChunk
 from repro.director.director import Director
 from repro.director.jobs import JobObject, JobRun
 from repro.director.scheduler import Dedup2Policy
-from repro.server.backup_server import BackupServer, BackupServerConfig
+from repro.server.backup_server import BackupServer, BackupServerConfig, stream_file
 from repro.simdisk import PaperRig
 from repro.storage.repository import ChunkRepository
 
@@ -68,20 +68,8 @@ class DebarSystem:
         The preliminary filter is seeded with the previous run of the job
         chain, exactly per Section 5.1.
         """
-        server_id = self.director.assign_backup(job)
-        run = self.director.begin_run(job, timestamp, server_id)
-        engine = self._engine(job.client)
-        filtering = self.director.filtering_fingerprints(job)
-        session = self.server.file_store.begin_session(filtering)
-        for metadata, chunks in engine.iter_dataset(job.dataset):
-            session.add_file(metadata, chunks)
-        stats, entries = session.close()
-        run.logical_bytes = stats.logical_bytes
-        run.transferred_bytes = stats.transferred_bytes
-        run.chunk_count = stats.logical_chunks
-        self.director.complete_run(run, entries)
-        self._maybe_dedup2()
-        return run, stats
+        files = self._engine(job.client).iter_stream(job.dataset)
+        return self._backup(job, files, timestamp, auto_dedup2=True)
 
     def backup_stream(
         self,
@@ -92,12 +80,13 @@ class DebarSystem:
         auto_dedup2: bool = True,
     ) -> Tuple[JobRun, Dedup1Stats]:
         """Execute one fingerprint-stream run of a job (workload models)."""
+        return self._backup(job, [stream_file(label, stream)], timestamp, auto_dedup2)
+
+    def _backup(self, job: JobObject, files, timestamp: float, auto_dedup2: bool):
         server_id = self.director.assign_backup(job)
         run = self.director.begin_run(job, timestamp, server_id)
         filtering = self.director.filtering_fingerprints(job)
-        session = self.server.file_store.begin_session(filtering)
-        session.add_fingerprint_stream(stream, path=label)
-        stats, entries = session.close()
+        stats, entries = self.server.backup(files, filtering)
         run.logical_bytes = stats.logical_bytes
         run.transferred_bytes = stats.transferred_bytes
         run.chunk_count = stats.logical_chunks
@@ -115,7 +104,7 @@ class DebarSystem:
     # -- dedup-2 ----------------------------------------------------------------------
     def run_dedup2(self, force_siu: Optional[bool] = None) -> Dedup2Stats:
         """Director-initiated dedup-2 on the backup server."""
-        stats = self.server.chunk_store.run_dedup2(force_siu=force_siu)
+        stats = self.server.tpds.dedup2(force_siu=force_siu)
         self.director.record_dedup2()
         return stats
 

@@ -34,14 +34,12 @@ from repro.chunking.cdc import ContentDefinedChunker
 from repro.client.backup_client import BackupEngine
 from repro.core.checking import CheckingFile
 from repro.core.disk_index import DiskIndex
-from repro.core.tpds import TwoPhaseDeduplicator
 from repro.director.metadata import FileIndexEntry
 from repro.durability.errors import CorruptionError
 from repro.durability.framing import KIND_INDEX, Superblock, unpack_superblock
 from repro.durability.fsshim import LocalFs
 from repro.durability.recovery import RecoveryManager, RecoveryReport
-from repro.server.chunk_store import ChunkStore
-from repro.server.file_store import FileStore
+from repro.server.backup_server import BackupServer, BackupServerConfig
 from repro.storage.blockstore import FileBlockStore
 from repro.storage.chunk_log import PersistentChunkLog
 from repro.storage.reader import ChunkReader
@@ -129,22 +127,26 @@ class DebarVault:
             index_n_bits, bucket_bytes=index_bucket_bytes, store=self._index_store
         )
         self._index_generation = self._read_index_generation()
-        self.tpds = TwoPhaseDeduplicator(
-            index,
+        #: The backup server: the same engine DebarSystem and every cluster
+        #: node run, over this vault's file-backed parts.
+        self.server = BackupServer(
+            None,
             self.repository,
-            filter_capacity=filter_capacity,
-            cache_capacity=cache_capacity,
-            container_bytes=container_bytes,
-            materialize=True,
-            siu_every=1,
+            BackupServerConfig(
+                filter_capacity=filter_capacity,
+                cache_capacity=cache_capacity,
+                container_bytes=container_bytes,
+                materialize=True,
+            ),
+            index=index,
             telemetry=self.telemetry,
             chunk_log=PersistentChunkLog(
                 self.root / _CHUNK_LOG, registry=self.telemetry, fs=self.fs
             ),
             checking=CheckingFile(self.root / _CHECKING, fs=self.fs),
         )
-        self.file_store = FileStore(self.tpds)
-        self.chunk_store = ChunkStore(self.tpds)
+        self.tpds = self.server.tpds
+        self.chunk_store = self.server.chunk_store
         self.engine = BackupEngine(
             "vault", chunker=ContentDefinedChunker(), registry=self.telemetry
         )
@@ -295,12 +297,8 @@ class DebarVault:
         telemetry wall clock (:func:`repro.telemetry.clock.wall_now`), the
         single time source the CLI and tests can redirect.
         """
-
-        def stream():
-            for metadata, chunks in self.engine.iter_dataset([Path(p) for p in dataset]):
-                yield metadata, [(c.fingerprint, c.size, c.data) for c in chunks]
-
-        return self.backup_stream(job, stream(), timestamp=timestamp)
+        files = self.engine.iter_stream([Path(p) for p in dataset])
+        return self.backup_stream(job, files, timestamp=timestamp)
 
     def backup_stream(
         self,
@@ -328,13 +326,9 @@ class DebarVault:
             filtering = self.filtering_for(job)
         with trace_span("backup", sim_clock=self.tpds.clock, job=job) as span:
             with trace_span("client.ingest", sim_clock=self.tpds.clock) as ingest:
-                session = self.file_store.begin_session(filtering)
-                files_seen = 0
-                for metadata, elements in files:
-                    session.add_fingerprint_stream(elements, metadata=metadata)
-                    files_seen += 1
-                ingest.annotate(files=files_seen)
-            stats, entries = session.close()  # runs dedup-1 (its own child span)
+                files = list(files)
+                ingest.annotate(files=len(files))
+            stats, entries = self.server.backup(files, filtering)  # span "dedup1"
             self.tpds.dedup2(force_siu=True)  # child span "dedup2"
             with trace_span("catalog", sim_clock=self.tpds.clock):
                 self._sync_index_geometry()
@@ -581,6 +575,11 @@ class DebarVault:
 
         from repro.storage.container import ContainerWriter
 
+        def remove(cid: int) -> None:
+            self.repository.remove(cid)
+            # A warm LPC would still route reads of its chunks here.
+            self.chunk_store.lpc.discard(cid)
+
         def seal_writer() -> None:
             nonlocal writer
             if writer is None or not len(writer):
@@ -605,7 +604,7 @@ class DebarVault:
             if not live_records:
                 for record in container.records:
                     index.delete(record.fingerprint)
-                self.repository.remove(cid)
+                remove(cid)
                 report.containers_removed += 1
                 report.dead_chunks_dropped += dead
                 report.bytes_reclaimed += container.data_bytes
@@ -632,7 +631,7 @@ class DebarVault:
                     index.delete(record.fingerprint)
                     report.dead_chunks_dropped += 1
                     report.bytes_reclaimed += record.size
-            self.repository.remove(cid)
+            remove(cid)
             report.containers_rewritten += 1
         seal_writer()
         self._flush_index()

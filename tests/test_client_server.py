@@ -1,4 +1,5 @@
-"""Tests for the backup client engine, File Store sessions and Chunk Store."""
+"""Tests for the backup client engine, the backup server's dedup-1 session
+and its Chunk Store."""
 
 import pytest
 
@@ -7,7 +8,7 @@ from repro.client import BackupEngine
 from repro.core.disk_index import DiskIndex
 from repro.core.tpds import TwoPhaseDeduplicator
 from repro.director.metadata import FileIndexEntry, FileMetadata
-from repro.server import BackupServer, BackupServerConfig, ChunkStore, FileStore
+from repro.server import BackupServer, BackupServerConfig, ChunkStore, stream_file
 from repro.storage import ChunkRepository
 from tests.conftest import make_fps
 
@@ -23,6 +24,15 @@ def make_tpds(materialize=True):
         index, repo, filter_capacity=4096, cache_capacity=1 << 20,
         container_bytes=64 * 1024, materialize=materialize,
     )
+
+
+def make_server(materialize=True, lpc_containers=16):
+    config = BackupServerConfig(
+        index_n_bits=8, index_bucket_bytes=512, filter_capacity=4096,
+        container_bytes=64 * 1024, materialize=materialize,
+        lpc_containers=lpc_containers,
+    )
+    return BackupServer(0, ChunkRepository(), config=config)
 
 
 class TestBackupEngine:
@@ -58,71 +68,86 @@ class TestBackupEngine:
         data = bytes(range(256)) * 30
         src.write_bytes(data)
         engine = BackupEngine("c1", chunker=small_chunker())
-        metadata, chunks = engine.read_file(src)
-        tpds = make_tpds()
-        session = FileStore(tpds).begin_session()
-        entry = session.add_file(metadata, chunks)
-        session.close()
-        tpds.dedup2()
-        store = ChunkStore(tpds)
-        out = engine.restore_file(entry, store, tmp_path / "restore", strip_prefix=tmp_path)
+        server = make_server()
+        _, (entry,) = server.backup(engine.iter_stream([src]))
+        server.tpds.dedup2()
+        out = engine.restore_file(
+            entry, server.chunk_store, tmp_path / "restore", strip_prefix=tmp_path
+        )
         assert out.read_bytes() == data
 
     def test_restore_size_mismatch_detected(self, tmp_path):
         engine = BackupEngine("c1")
         fps = make_fps(1)
-        tpds = make_tpds()
-        session = FileStore(tpds).begin_session()
-        session.add_fingerprint_stream([(fps[0], 100, b"x" * 100)], path="/f")
-        session.close()
-        tpds.dedup2()
+        server = make_server()
+        server.backup([stream_file("/f", [(fps[0], 100, b"x" * 100)])])
+        server.tpds.dedup2()
         bad_entry = FileIndexEntry(FileMetadata("/f", 999), fps)
         with pytest.raises(IOError):
-            engine.restore_file(bad_entry, ChunkStore(tpds), tmp_path)
+            engine.restore_file(bad_entry, server.chunk_store, tmp_path)
 
 
 class TestBackupSession:
-    def test_session_buffers_until_close(self):
-        tpds = make_tpds(materialize=False)
-        session = FileStore(tpds).begin_session()
-        fps = make_fps(10)
-        session.add_fingerprint_stream([(fp, 8192) for fp in fps])
-        assert tpds.undetermined_count == 0  # nothing ran yet
-        stats, entries = session.close()
-        assert stats.logical_chunks == 10
-        assert tpds.undetermined_count == 10
-        assert entries[0].fingerprints == fps
+    """``BackupServer.backup``: one job run's dedup-1 session."""
 
-    def test_session_close_once(self):
-        tpds = make_tpds(materialize=False)
-        session = FileStore(tpds).begin_session()
-        session.close()
-        with pytest.raises(RuntimeError):
-            session.close()
-        with pytest.raises(RuntimeError):
-            session.add_fingerprint_stream([])
+    def test_session_buffers_until_close(self):
+        server = make_server(materialize=False)
+        fps = make_fps(10)
+
+        def files():
+            yield stream_file("<stream>", [(fp, 8192) for fp in fps[:5]])
+            assert server.undetermined_count == 0  # nothing ran yet
+            yield stream_file("<more>", [(fp, 8192) for fp in fps[5:]])
+
+        stats, entries = server.backup(files())
+        assert stats.logical_chunks == 10
+        assert server.undetermined_count == 10
+        assert entries[0].fingerprints == fps[:5]
+        assert entries[0].metadata.size == 5 * 8192
+
+    def test_entries_per_file_in_order(self):
+        server = make_server(materialize=False)
+        fps = make_fps(6)
+        files = [
+            (FileMetadata("/a", 3 * 100), [(fp, 100) for fp in fps[:3]]),
+            (FileMetadata("/b", 3 * 100), [(fp, 100) for fp in fps[3:]]),
+        ]
+        stats, entries = server.backup(files)
+        assert [e.metadata.path for e in entries] == ["/a", "/b"]
+        assert [e.fingerprints for e in entries] == [fps[:3], fps[3:]]
+        assert stats.logical_bytes == 600
 
     def test_filtering_fps_applied(self):
-        tpds = make_tpds(materialize=False)
+        server = make_server(materialize=False)
         fps = make_fps(10)
-        s1 = FileStore(tpds).begin_session()
-        s1.add_fingerprint_stream([(fp, 8192) for fp in fps])
-        s1.close()
-        s2 = FileStore(tpds).begin_session(filtering_fps=fps)
-        s2.add_fingerprint_stream([(fp, 8192) for fp in fps])
-        stats, _ = s2.close()
+        server.backup([stream_file("<stream>", [(fp, 8192) for fp in fps])])
+        stats, _ = server.backup(
+            [stream_file("<stream>", [(fp, 8192) for fp in fps])], filtering=fps
+        )
         assert stats.transferred_chunks == 0
+        assert server.undetermined_count == 10
+
+    def test_failed_stream_appends_nothing(self):
+        server = make_server()
+        fps = make_fps(4)
+
+        def files():
+            yield FileMetadata("/a", 200), [(fp, 100, b"a" * 100) for fp in fps[:2]]
+            raise OSError("dataset vanished")
+
+        with pytest.raises(OSError):
+            server.backup(files())
+        assert server.undetermined_count == 0
+        assert server.chunk_log_bytes == 0
 
 
 class TestChunkStore:
     def test_read_chunk_via_lpc(self):
-        tpds = make_tpds(materialize=False)
+        server = make_server(materialize=False, lpc_containers=4)
         fps = make_fps(20)
-        session = FileStore(tpds).begin_session()
-        session.add_fingerprint_stream([(fp, 8192) for fp in fps])
-        session.close()
-        tpds.dedup2()
-        store = ChunkStore(tpds, lpc_containers=4)
+        server.backup([stream_file("<stream>", [(fp, 8192) for fp in fps])])
+        server.tpds.dedup2()
+        store = server.chunk_store
         for fp in fps:
             assert len(store.read_chunk(fp)) == 8192
         # Sequential restore: few random lookups, high hit rate.
@@ -131,16 +156,13 @@ class TestChunkStore:
 
     def test_read_pending_chunk_via_checking_file(self):
         # Stored but not yet SIU-registered chunks must still restore.
-        tpds = make_tpds(materialize=False)
-        tpds.siu_every = 10
+        server = make_server(materialize=False)
+        server.tpds.siu_every = 10
         fps = make_fps(5)
-        session = FileStore(tpds).begin_session()
-        session.add_fingerprint_stream([(fp, 8192) for fp in fps])
-        session.close()
-        tpds.dedup2()  # SIU deferred
-        assert len(tpds.index) == 0
-        store = ChunkStore(tpds)
-        assert len(store.read_chunk(fps[0])) == 8192
+        server.backup([stream_file("<stream>", [(fp, 8192) for fp in fps])])
+        server.tpds.dedup2()  # SIU deferred
+        assert len(server.index) == 0
+        assert len(server.chunk_store.read_chunk(fps[0])) == 8192
 
     def test_read_missing_raises(self):
         store = ChunkStore(make_tpds(materialize=False))

@@ -2,6 +2,7 @@
 
 import json
 import random
+import threading
 
 import pytest
 
@@ -280,6 +281,68 @@ class TestGcCarriesChecksums:
             vault.repository.invalidate(cid)  # read the images, not the cache
             for rec in vault.repository.fetch(cid).records:
                 assert rec.crc == stored[rec.fingerprint]
+
+
+class TestGcForgetsRemovedContainers:
+    """``gc`` must drop the containers it removes from the LPC.
+
+    The LPC maps fingerprints to container ids.  ``gc`` used to remove
+    containers without telling it, so once a restore had warmed it, a
+    long-lived vault sent reads of copied-forward chunks to a container
+    that no longer existed: ``KeyError: 'container 0 not in repository'``
+    in process, and through ``repro serve`` a ``RemoteError`` after the
+    daemon fell through to its replica store.  A freshly opened vault
+    restored the same run fine.
+    """
+
+    @staticmethod
+    def warm_then_gc(target, tmp_path):
+        """keep + drop backed up, keep alone backed up, run 2 restored
+        (warming the LPC), run 1 forgotten, gc.  Returns (run 2's id,
+        the gc report as a dict, the source directory)."""
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "keep.bin").write_bytes(random.Random(3).randbytes(200_000))
+        (src / "drop.bin").write_bytes(random.Random(4).randbytes(600_000))
+        run1 = target.backup("docs", [str(src)])
+        (src / "drop.bin").unlink()
+        run2 = target.backup("docs", [str(src)])
+        target.restore(run2.run_id, tmp_path / "warm", strip_prefix=tmp_path)
+        target.forget(run1.run_id)
+        report = target.gc(rewrite_threshold=0.9)
+        return run2.run_id, report if isinstance(report, dict) else vars(report), src
+
+    @staticmethod
+    def assert_restores(target, run_id, src, tmp_path):
+        target.restore(run_id, tmp_path / "out", strip_prefix=tmp_path)
+        assert (tmp_path / "out" / "src" / "keep.bin").read_bytes() == (
+            src / "keep.bin"
+        ).read_bytes()
+
+    def test_restore_after_gc_in_process(self, tmp_path):
+        vault = DebarVault(tmp_path / "vault")
+        run_id, report, src = self.warm_then_gc(vault, tmp_path)
+        assert report["containers_rewritten"] == 1
+        assert report["live_chunks_copied"] > 1
+        self.assert_restores(vault, run_id, src, tmp_path)
+
+    def test_restore_after_gc_through_serve(self, tmp_path):
+        from repro.net.client import RemoteBackupClient
+        from repro.net.server import serve_vault
+
+        vault = DebarVault(tmp_path / "vault")
+        server = serve_vault(vault)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with RemoteBackupClient(*server.server_address) as client:
+                run_id, report, src = self.warm_then_gc(client, tmp_path)
+                assert report["containers_rewritten"] == 1
+                self.assert_restores(client, run_id, src, tmp_path)
+        finally:
+            server.shutdown()
+            server.server_close()
+            vault.close()
 
 
 class TestGcCli:

@@ -163,25 +163,6 @@ class TestMessageCodecs:
         decoded, offset = m.decode_bitmap(m.encode_bitmap(bits))
         assert decoded == bits and offset == 4 + (len(bits) + 7) // 8
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(fp_strategy,
-                              st.integers(min_value=0, max_value=(1 << 40) - 1)),
-                    max_size=30))
-    def test_cid_records_roundtrip(self, records):
-        blob = m.encode_cid_records(records)
-        decoded, offset = m.decode_cid_records(blob, 0)
-        assert decoded == records and offset == len(blob)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=63),
-           st.dictionaries(st.integers(min_value=0, max_value=63),
-                           st.lists(fp_strategy, max_size=12), max_size=4))
-    def test_exchange_roundtrip(self, sender, parts):
-        blob = m.encode_exchange(sender, parts)
-        got_sender, got_parts, offset = m.decode_exchange(blob, 0)
-        assert got_sender == sender and offset == len(blob)
-        assert got_parts == parts
-
     @settings(max_examples=80, deadline=None)
     @given(st.binary(max_size=200))
     def test_codecs_reject_garbage_without_crashing(self, blob):
@@ -189,8 +170,6 @@ class TestMessageCodecs:
             m.decode_fps,
             m.decode_sized_fps,
             m.decode_chunk_batch,
-            lambda b: m.decode_cid_records(b, 0),
-            lambda b: m.decode_exchange(b, 0),
             lambda b: m.decode_json(b),
             lambda b: m.decode_file_entries(b),
         ):
