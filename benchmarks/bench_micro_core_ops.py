@@ -15,7 +15,8 @@ from repro.core.preliminary_filter import PreliminaryFilter
 from repro.core.sil import SequentialIndexLookup
 from repro.core.siu import SequentialIndexUpdate
 from repro.chunking.rabin import RABIN_DEGREE, window_fingerprints
-from repro.durability.crc import crc32c, crc32c_combine
+from repro.durability.crc import crc32c, crc32c_combine, crc32c_many
+from repro.storage.container import ContainerWriter
 
 
 def bench_sha1_fingerprinting(benchmark):
@@ -40,6 +41,40 @@ def bench_crc32c(benchmark, size):
     if benchmark.stats:  # absent under --benchmark-disable
         mibps = size / (1 << 20) / benchmark.stats.stats.median
         benchmark.extra_info["mib_per_s"] = round(mibps, 2)
+
+
+def _sealed_container_payloads():
+    """The records of one sealed 1 MiB container of 2-20 KiB chunks, as the
+    memoryview slices scrub hands to ``crc32c_many``."""
+    rng = np.random.default_rng(3)
+    writer = ContainerWriter(1 << 20)
+    while True:
+        data = rng.integers(0, 256, int(rng.integers(2048, 20480)), dtype=np.uint8).tobytes()
+        if not writer.add(fingerprint(data), data):
+            break
+    container = writer.seal(0)
+    view = memoryview(container.data)
+    return [view[r.offset : r.offset + r.size] for r in container.records]
+
+
+def _chunk_batch():
+    """A 64 KiB dedup-1 append batch of ~8 KiB chunks."""
+    rng = np.random.default_rng(4)
+    return [rng.integers(0, 256, 8192, dtype=np.uint8).tobytes() for _ in range(8)]
+
+
+@pytest.mark.parametrize(
+    "make", [_sealed_container_payloads, _chunk_batch], ids=["container", "64KiB-of-8KiB"]
+)
+def bench_crc32c_many(benchmark, make):
+    """The lane kernel over a batch: one container's records (scrub,
+    ``verify --deep``) and one append batch of new chunks (dedup-1)."""
+    payloads = make()
+    benchmark(crc32c_many, payloads)
+    if benchmark.stats:
+        total = sum(len(p) for p in payloads)
+        benchmark.extra_info["mib_per_s"] = round(total / (1 << 20) / benchmark.stats.stats.median, 2)
+        benchmark.extra_info["payloads"] = len(payloads)
 
 
 def bench_crc32c_combine(benchmark):

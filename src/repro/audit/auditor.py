@@ -27,7 +27,7 @@ rather than discovered as corruption at restore time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.checking import CheckingFile
 from repro.core.disk_index import DiskIndex
@@ -298,14 +298,17 @@ def audit_restorability(
     repositories only): records carrying a CRC32C (everything that came
     through the persistent chunk log or off disk) against it, records
     built without one (simulated systems) by re-hashing against the
-    fingerprint.  ``chunk_log`` (when given) lets a corrupt-payload
-    finding say whether the scrubber could repair it locally.
+    fingerprint.  Each container is checked whole, in one
+    :meth:`~repro.storage.container.Container.verify_payloads` batch, the
+    first time a run references it.  ``chunk_log`` (when given) lets a
+    corrupt-payload finding say whether the scrubber could repair it
+    locally.
     """
-    from repro.core.fingerprint import fingerprint as sha1
-    from repro.durability.crc import crc32c
-
     report = report if report is not None else AuditReport()
     verified: Dict[Fingerprint, int] = {}
+    #: Per container, the fingerprints whose payload fails its check —
+    #: each container's records are verified in one batch on first use.
+    damaged_in: Dict[int, Set[Fingerprint]] = {}
     for run_label, fps in run_fingerprints:
         report.count("runs", 1)
         for fp in fps:
@@ -347,13 +350,13 @@ def audit_restorability(
             if deep and container.data is not None:
                 # Only materialized payloads can be checked; virtual
                 # containers regenerate synthetic payloads on read.
-                rec = container.record_for(fp)
-                data = container.get(fp)
-                if rec.crc is not None:
-                    damaged = crc32c(data) != rec.crc
-                else:  # built without a CRC (in-memory log): re-hash instead
-                    damaged = sha1(data) != fp
-                if damaged:
+                damaged = damaged_in.get(cid)
+                if damaged is None:
+                    damaged = damaged_in[cid] = {
+                        fault.fingerprint for fault in container.verify_payloads()
+                    }
+                if fp in damaged:
+                    rec = container.record_for(fp)
                     report.add(
                         "payload-corrupt",
                         f"run {run_label}: payload of {fp_hex(fp)} in "

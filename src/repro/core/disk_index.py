@@ -29,6 +29,8 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.fingerprint import (
     FINGERPRINT_SIZE,
     Fingerprint,
@@ -56,6 +58,9 @@ ENTRIES_PER_BLOCK = DISK_BLOCK_SIZE // ENTRY_SIZE
 
 #: Bucket header: a little-endian uint32 entry count.
 _HEADER = struct.Struct("<I")
+
+#: Largest read :meth:`DiskIndex._load_counts` issues for bucket headers.
+_SLAB_BYTES = 64 * 1024
 
 #: Checksummed buckets end in this trailer: magic + CRC32C of the rest.
 BUCKET_MAGIC = 0x44424B54  # "DBKT"
@@ -233,15 +238,19 @@ class DiskIndex:
 
     # -- construction helpers ------------------------------------------------
     def _load_counts(self) -> None:
-        total = 0
-        for k in range(self.n_buckets):
-            blob = self._store.read(k * self.bucket_bytes, _HEADER.size)
-            (count,) = _HEADER.unpack(blob)
+        """Fill the count cache from the bucket headers, a slab of up to
+        ``_SLAB_BYTES`` per read (one header per bucket slot in it)."""
+        per_slab = max(1, _SLAB_BYTES // self.bucket_bytes)
+        for k in range(0, self.n_buckets, per_slab):
+            m = min(per_slab, self.n_buckets - k)
+            slab = self._store.read(
+                k * self.bucket_bytes, (m - 1) * self.bucket_bytes + _HEADER.size
+            )
+            headers = np.frombuffer(slab, "<u4")[:: self.bucket_bytes // 4]
             # A rotted header cannot claim more entries than a bucket holds;
             # clamping keeps the cache sane until scrub repairs the bucket.
-            self._counts[k] = min(count, self.bucket_capacity)
-            total += self._counts[k]
-        self._entry_count = total
+            self._counts[k : k + m] = np.minimum(headers, self.bucket_capacity).tolist()
+        self._entry_count = sum(self._counts)
 
     # -- geometry --------------------------------------------------------------
     @property

@@ -232,6 +232,7 @@ class TwoPhaseDeduplicator:
             if filtering_fps is not None:
                 prefilter.preload(filtering_fps)
 
+            new: List[Tuple[Fingerprint, Optional[bytes], int]] = []
             for element in stream:
                 fp, size = element[0], element[1]
                 data = element[2] if len(element) > 2 else None
@@ -239,13 +240,16 @@ class TwoPhaseDeduplicator:
                 stats.logical_chunks += 1
                 stats.logical_bytes += size
                 if prefilter.check(fp) is FilterDecision.NEW:
-                    self.chunk_log.append(fp, data=data, size=size)
-                    self._undetermined.append(fp)
+                    new.append((fp, data, size))
                     stats.transferred_chunks += 1
                     stats.transferred_bytes += size
                 else:
                     stats.filtered_chunks += 1
                     stats.filtered_bytes += size
+            # One append batch per session, so the new payloads are
+            # checksummed in one pass (``crc32c_many``).
+            self.chunk_log.append_many(new)
+            self._undetermined.extend(fp for fp, _, _ in new)
             stats.undetermined_fingerprints = stats.transferred_chunks
 
             # Time: every fingerprint crosses the network for checking; only the

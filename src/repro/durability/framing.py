@@ -35,7 +35,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.durability.crc import crc32c
+from repro.durability.crc import crc32c, crc32c_many
 from repro.durability.errors import CorruptionError, TornWriteError
 
 SUPERBLOCK_MAGIC = b"DBSB"
@@ -165,6 +165,7 @@ def scan_frames(blob: bytes, start: int = 0, *, artifact: str = "artifact") -> S
       (``stopped_reason``), since record boundaries are lost.
     """
     result = ScanResult(records=[], valid_end=start)
+    frames = []  # (offset, payload start, end, stored crc) of complete frames
     off = start
     n = len(blob)
     while off < n:
@@ -179,13 +180,17 @@ def scan_frames(blob: bytes, start: int = 0, *, artifact: str = "artifact") -> S
         if end > n:
             result.torn_bytes = n - off
             break
-        payload = bytes(blob[off + _FRAME_HEADER.size : end])
-        ok = crc32c(payload) == crc
-        result.records.append(
-            ScannedRecord(
-                off, payload, crc, ok, None if ok else f"CRC mismatch at offset {off}"
-            )
-        )
+        frames.append((off, off + _FRAME_HEADER.size, end, crc))
         off = end
         result.valid_end = off
+    view = memoryview(blob)
+    actual = crc32c_many([view[lo:hi] for _, lo, hi, _ in frames])
+    for (off, lo, hi, crc), got in zip(frames, actual):
+        ok = got == crc
+        result.records.append(
+            ScannedRecord(
+                off, bytes(view[lo:hi]), crc, ok,
+                None if ok else f"CRC mismatch at offset {off}",
+            )
+        )
     return result

@@ -16,10 +16,10 @@ import errno
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.fingerprint import FINGERPRINT_SIZE, Fingerprint
-from repro.durability.crc import crc32c, crc32c_combine
+from repro.durability.crc import crc32c, crc32c_combine, crc32c_many
 from repro.durability.errors import DiskFullError
 from repro.durability.framing import (
     KIND_CHUNK_LOG,
@@ -80,6 +80,13 @@ class ChunkLog:
         if size < 0:
             raise ValueError("chunk size must be non-negative")
         self._admit(LogRecord(fp, size, data))
+
+    def append_many(
+        self, groups: Iterable[Tuple[Fingerprint, Optional[bytes], int]]
+    ) -> None:
+        """Append ``(fp, data, size)`` groups in order (``data`` may be ``None``)."""
+        for fp, data, size in groups:
+            self.append(fp, data=data, size=size)
 
     def _admit(self, record: LogRecord) -> None:
         self._records.append(record)
@@ -222,14 +229,24 @@ class PersistentChunkLog(ChunkLog):
         self._bytes += record.log_bytes
 
     # -- the ChunkLog interface, file-first -----------------------------------
-    def append(self, fp: Fingerprint, data: Optional[bytes] = None, size: Optional[int] = None) -> None:
+    def append(
+        self,
+        fp: Fingerprint,
+        data: Optional[bytes] = None,
+        size: Optional[int] = None,
+        crc: Optional[int] = None,
+    ) -> None:
+        """Append one group; ``crc`` is ``data``'s CRC32C when the caller
+        already took it (:meth:`append_many`)."""
         if data is not None:
             size = len(data)
+            if crc is None:
+                crc = crc32c(data)
         elif size is None:
             raise ValueError("either data or size is required")
         # The one pass over a new chunk's bytes: everything downstream
         # (this frame, the container record) reuses the value.
-        record = LogRecord(fp, size, data, crc32c(data) if data is not None else None)
+        record = LogRecord(fp, size, data, crc)
         frame = _frame_group(record)
         try:
             io_retry(
@@ -243,6 +260,15 @@ class PersistentChunkLog(ChunkLog):
                 ) from exc
             raise
         self._admit(record)
+
+    def append_many(
+        self, groups: Iterable[Tuple[Fingerprint, Optional[bytes], int]]
+    ) -> None:
+        """Append groups in order, their payloads checksummed in one batch."""
+        groups = list(groups)
+        crcs = iter(crc32c_many([data for _, data, _ in groups if data is not None]))
+        for fp, data, size in groups:
+            self.append(fp, data, size, None if data is None else next(crcs))
 
     def clear(self) -> None:
         # Rewriting the file would silently destroy any corrupt frames

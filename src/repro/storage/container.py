@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.repository import ChunkRepository
 
 from repro.core.fingerprint import FINGERPRINT_SIZE, Fingerprint
-from repro.durability.crc import crc32c
+from repro.durability.crc import crc32c, crc32c_many
 from repro.durability.errors import CorruptionError, TornWriteError
 from repro.durability.framing import (
     KIND_CONTAINER,
@@ -115,21 +115,31 @@ def verify_records(
     a few coalesced range GETs, or a raw backend ``get_range``.  This is
     what lets deep verify of a *cold* container check exactly the suspect
     records instead of downloading the whole image.  Records carrying a
-    CRC verify via CRC32C; one built without (see :class:`ChunkRecord`)
-    re-hashes against its fingerprint.
+    CRC verify via CRC32C, all in one :func:`crc32c_many` batch, so every
+    payload is held until the batch runs: ``read_at`` should hand out
+    memoryview slices, not copies.  A record built without a CRC (see
+    :class:`ChunkRecord`) re-hashes against its fingerprint.
     """
-    faults: List[PayloadFault] = []
+    chunks: List[Optional[bytes]] = []
     for rec in records:
-        where = base_offset + rec.offset
         try:
-            chunk = read_at(rec.offset, rec.size)
+            chunks.append(read_at(rec.offset, rec.size))
         except KeyError:
+            chunks.append(None)
+    # Every CRC-carrying payload that is all there, in one batch.
+    crcs = iter(crc32c_many([
+        chunk for rec, chunk in zip(records, chunks)
+        if rec.crc is not None and chunk is not None and len(chunk) >= rec.size
+    ]))
+    faults: List[PayloadFault] = []
+    for rec, chunk in zip(records, chunks):
+        where = base_offset + rec.offset
+        if chunk is None:
             faults.append(PayloadFault(rec.fingerprint, where, "payload unreadable"))
-            continue
-        if len(chunk) < rec.size:
+        elif len(chunk) < rec.size:
             faults.append(PayloadFault(rec.fingerprint, where, "payload cut short"))
         elif rec.crc is not None:
-            if crc32c(chunk) != rec.crc:
+            if next(crcs) != rec.crc:
                 faults.append(
                     PayloadFault(rec.fingerprint, where, "payload CRC mismatch")
                 )
@@ -303,7 +313,7 @@ class Container:
         """
         if self.data is None:
             return []
-        data = self.data
+        data = memoryview(self.data)
         return verify_records(
             self.records if records is None else records,
             lambda offset, size: data[offset : offset + size],

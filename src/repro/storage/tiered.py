@@ -332,7 +332,7 @@ class TieredChunkRepository(FileChunkRepository):
                 container_id, [(g.start, g.length) for g in groups]
             )
             for group, blob in zip(groups, blobs):
-                buf.add(group.start, blob)
+                buf.add(group.start, memoryview(blob))
         faults = verify_records(
             records,
             lambda offset, size: buf.read(data_start + offset, size),

@@ -211,7 +211,9 @@ class Catalog:
     ) -> None:
         self.root = Path(root)
         self.fs = fs
-        if has_document(self.root):
+        #: No catalog file existed: this one is new and not yet saved.
+        self.created = not has_document(self.root)
+        if not self.created:
             self._doc = self.snapshot()
         else:
             self._doc = {

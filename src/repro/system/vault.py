@@ -156,7 +156,8 @@ class DebarVault:
         self._t_restores = self.telemetry.counter(
             "vault.restores", "restore operations completed by this vault"
         ).labels()
-        self.catalog.save()
+        if self.catalog.created:
+            self.catalog.save()
         #: Outbound shippers (repro.replication / repro.archive), attached
         #: by the serve CLI when --replicate-to / --archive-to is
         #: configured; ``None`` standalone.  Every committed run notifies

@@ -1,8 +1,10 @@
-"""Count what goes through ``crc32c``, per calling module.
+"""Count what goes through ``crc32c`` and ``crc32c_many``, per calling module.
 
-Modules bind the function with ``from repro.durability.crc import crc32c``,
+Modules bind the functions with ``from repro.durability.crc import ...``,
 so a wrapper on the defining module alone would see nothing: like the
-ledger's tracer (``benchmarks/e2e/trace.py``) this rebinds every copy.
+ledger's tracer (``benchmarks/e2e/trace.py``) this rebinds every copy.  A
+batch counts as one call per payload, so a payload checksummed in a
+``crc32c_many`` batch looks the same as one walked by ``crc32c``.
 """
 
 import sys
@@ -13,7 +15,7 @@ from repro.durability import crc as crc_module
 
 
 class CrcCalls:
-    """Lengths of every ``crc32c`` input, keyed by the calling module."""
+    """Lengths of every checksummed input, keyed by the calling module."""
 
     def __init__(self) -> None:
         self.by_module: Dict[str, List[int]] = {}
@@ -25,26 +27,39 @@ class CrcCalls:
         return sum(sum(v) for v in self.by_module.values())
 
 
+def _counting(raw, seen: List[int]):
+    if raw is _RAW[0]:
+        def counted(data, value=0):
+            seen.append(len(data))
+            return raw(data, value)
+    else:
+        def counted(payloads):
+            payloads = list(payloads)
+            seen.extend(len(p) for p in payloads)
+            return raw(payloads)
+    return counted
+
+
+_RAW = (crc_module.crc32c, crc_module.crc32c_many)
+
+
 @contextmanager
 def counting_crc32c() -> Iterator[CrcCalls]:
-    raw = crc_module.crc32c
     calls = CrcCalls()
     rebound = []
     for name, mod in list(sys.modules.items()):
         if mod is None or not name.startswith("repro"):
             continue
         for key, value in list(vars(mod).items()):
-            if value is raw:
-                seen = calls.by_module.setdefault(name, [])
-
-                def counted(data, value=0, _seen=seen):
-                    _seen.append(len(data))
-                    return raw(data, value)
-
-                setattr(mod, key, counted)
-                rebound.append((mod, key))
+            if mod is crc_module and key.startswith("_"):
+                continue  # the batch path's own per-call walk: counted once
+            for raw in _RAW:
+                if value is raw:
+                    seen = calls.by_module.setdefault(name, [])
+                    setattr(mod, key, _counting(raw, seen))
+                    rebound.append((mod, key, raw))
     try:
         yield calls
     finally:
-        for mod, key in rebound:
+        for mod, key, raw in rebound:
             setattr(mod, key, raw)

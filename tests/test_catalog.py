@@ -143,6 +143,24 @@ class TestRuns:
         snap["runs"].clear()
         assert len(catalog) == 1 and len(catalog.snapshot()["runs"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["runs"], ["restore", "--run", "1", "--dest", "out"], ["verify", "--deep"]],
+        ids=lambda a: a[0],
+    )
+    def test_read_only_commands_leave_the_file_alone(self, tmp_path, argv):
+        vault = str(tmp_path / "vault")
+        assert main(["backup", "--vault", vault, "--job", "j", str(make_source(tmp_path))]) == 0
+        path = tmp_path / "vault" / "catalog.json"
+        before = path.read_bytes(), path.stat().st_ino, path.stat().st_mtime_ns
+        argv = [str(tmp_path / a) if a == "out" else a for a in argv]
+        assert main([*argv, "--vault", vault]) == 0
+        assert (path.read_bytes(), path.stat().st_ino, path.stat().st_mtime_ns) == before
+
+    def test_a_new_vault_saves_its_catalog_at_open(self, tmp_path):
+        DebarVault(tmp_path / "vault").close()
+        assert check_document(read_document(tmp_path / "vault"))["runs"] == []
+
 
 class TestDamage:
     """DESIGN.md §10: damage -> CorruptionError -> exit 3, one typed path."""
@@ -204,9 +222,9 @@ class TestDamage:
         with DebarVault(tmp_path / "vault") as vault:
             vault.backup("docs", [src], timestamp=1.0)
         before = (tmp_path / "vault" / "catalog.json").read_bytes()
-        # after=1: let the rewrite at open through, tear the commit.
+        # Open writes no catalog, so the first catalog write is the commit.
         fs = FaultyFs([FaultRule(
-            op="write_file", kind="short_write", path_contains="catalog", after=1
+            op="write_file", kind="short_write", path_contains="catalog", after=0
         )])
         vault = DebarVault(tmp_path / "vault", fs=fs)
         (src / "new.bin").write_bytes(b"fresh bytes " * 700)

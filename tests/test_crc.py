@@ -1,11 +1,12 @@
 """CRC32C, its combine, and the two properties "checksum once" rests on.
 
 * the primitive: known answers, ``crc32c_combine`` equal to the direct
-  checksum (and usable backwards, to split one out);
+  checksum (and usable backwards, to split one out), ``crc32c_many``'s
+  lane kernel equal to the per-call walk and built only on first use;
 * byte identity: combining changes *how* a frame CRC is obtained, never
   its value — frames, containers and index hash to what the parent
   commit wrote (``tests/image_scenario.py``);
-* single pass: one ``crc32c`` walk per newly stored payload byte between
+* single pass: one checksum per newly stored payload byte between
   ``DebarVault.backup`` entry and return, none for a duplicate run;
 * the crash path: records reloaded from ``chunk.log`` carry CRCs split
   out of their verified frames, damaged frames stay out of containers,
@@ -13,14 +14,26 @@
 """
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.audit.faults import POST_SIL, InjectedCrash, inject
-from repro.durability.crc import crc32c, crc32c_combine
+from repro.durability.crc import (
+    LANE_BATCH,
+    LANE_CUTOFF,
+    LANE_STRIPE,
+    _crc32c_py,
+    crc32c,
+    crc32c_combine,
+    crc32c_many,
+)
 from repro.durability.framing import (
     FRAME_OVERHEAD,
     frame_record,
@@ -52,21 +65,20 @@ PARENT_IMAGES = {
 
 FIXED = bytes(range(64))
 
+ISCSI_VECTORS = [  # RFC 3720 appendix B.4
+    (b"", 0),
+    (bytes(32), 0x8A9136AA),
+    (b"\xff" * 32, 0x62A8AB43),
+    (bytes(range(32)), 0x46DD794E),
+    (bytes(range(31, -1, -1)), 0x113FDB5C),
+]
+
 
 class TestKnownAnswers:
     def test_check_value(self):
         assert crc32c(b"123456789") == 0xE3069283
 
-    @pytest.mark.parametrize(
-        "data, expected",
-        [  # RFC 3720 appendix B.4
-            (b"", 0),
-            (bytes(32), 0x8A9136AA),
-            (b"\xff" * 32, 0x62A8AB43),
-            (bytes(range(32)), 0x46DD794E),
-            (bytes(range(31, -1, -1)), 0x113FDB5C),
-        ],
-    )
+    @pytest.mark.parametrize("data, expected", ISCSI_VECTORS)
     def test_iscsi_vectors(self, data, expected):
         assert crc32c(data) == expected
 
@@ -106,6 +118,59 @@ class TestCombine:
         assert crc32c_combine(crc32c(a), crc32c(a + b), len(b)) == crc32c(b)
 
 
+#: Payload lengths where the lane kernel has edges: the 1-3 bytes shorter
+#: than one register word, stripe multiples and their neighbours, and
+#: anything up to a few dozen stripes.
+_LENGTHS = st.one_of(
+    st.integers(0, 3),
+    st.builds(lambda k, e: k * LANE_STRIPE + e, st.integers(1, 40), st.integers(-1, 1)),
+    st.integers(0, 6000),
+)
+_KINDS = st.sampled_from([bytes, bytearray, memoryview])
+
+
+class TestBatch:
+    """``crc32c_many`` is the per-call walk, payload by payload."""
+
+    def test_iscsi_vectors_through_the_lanes(self):
+        data = [d for d, _ in ISCSI_VECTORS] * 16  # well over LANE_CUTOFF
+        assert sum(map(len, data)) >= LANE_CUTOFF
+        assert crc32c_many(data) == [c for _, c in ISCSI_VECTORS] * 16
+
+    def test_check_value_below_and_above_the_cutoff(self):
+        assert crc32c_many([b"123456789"]) == [0xE3069283]
+        assert crc32c_many([b"123456789"] * 1000) == [0xE3069283] * 1000
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_LENGTHS, _KINDS), max_size=30), st.integers(0, 2**32))
+    def test_equals_the_per_call_walk(self, shape, seed):
+        rng = random.Random(seed)
+        payloads = [kind(rng.randbytes(n)) for n, kind in shape]
+        assert crc32c_many(payloads) == [_crc32c_py(p) for p in payloads]
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.lists(st.integers(0, 90_000), min_size=4, max_size=12), st.integers(0, 2**32))
+    def test_batches_that_cross_the_sub_batch_bound(self, lengths, seed):
+        rng = random.Random(seed)
+        payloads = [rng.randbytes(n) for n in lengths] + [rng.randbytes(LANE_BATCH + 7)]
+        assert crc32c_many(payloads) == [_crc32c_py(p) for p in payloads]
+
+    def test_importing_the_cli_builds_no_lane_table(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = (
+            "import repro.cli\n"
+            "from repro.durability import crc\n"
+            "print(crc._lane_tables.cache_info().currsize,"
+            " crc._shift_table.cache_info().currsize)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert out.stdout.split() == ["0", "0"]
+
+
 def parent_frame(fp, data):
     """The chunk-log frame as the parent built it: one pass over
     header + payload, no combine."""
@@ -122,6 +187,16 @@ class TestByteIdentity:
         assert path.read_bytes()[superblock_size(0):] == parent_frame(fp, data)
         (record,) = log.replay()
         assert record.crc == crc32c(data)
+
+    def test_a_batch_append_writes_the_parents_frames(self, tmp_path):
+        rng = random.Random(9)
+        groups = [(rng.randbytes(20), rng.randbytes(rng.randrange(1, 9000)))
+                  for _ in range(40)]
+        log = PersistentChunkLog(tmp_path / "chunk.log")
+        log.append_many([(fp, data, len(data)) for fp, data in groups])
+        frames = (tmp_path / "chunk.log").read_bytes()[superblock_size(0):]
+        assert frames == b"".join(parent_frame(fp, data) for fp, data in groups)
+        assert [r.crc for r in log.replay()] == [crc32c(d) for _, d in groups]
 
     def test_virtual_group_frame_is_unchanged(self, tmp_path):
         log = PersistentChunkLog(tmp_path / "chunk.log")

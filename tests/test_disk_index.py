@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.audit.auditor import audit_index
 from repro.core.disk_index import (
     DISK_BLOCK_SIZE,
     ENTRIES_PER_BLOCK,
@@ -147,6 +148,50 @@ class TestConstruction:
         store = FileBlockStore(tmp_path / "small.bin", 512)
         with pytest.raises(ValueError):
             DiskIndex(4, bucket_bytes=512, store=store)
+
+
+class TestLoadCounts:
+    """Reopening reads the bucket headers a slab at a time; the cache must
+    equal what one read per header gives."""
+
+    @staticmethod
+    def per_bucket_counts(index):
+        return [min(index.on_disk_count(k), index.bucket_capacity)
+                for k in range(index.n_buckets)]
+
+    # A 2 MiB index (32 slabs), buckets that do not divide a slab, and
+    # buckets larger than one.
+    @pytest.mark.parametrize("n_bits, bucket_bytes", [(12, 512), (7, 1536), (3, 128 * 1024)])
+    def test_reopen_equals_the_per_bucket_loop(self, tmp_path, n_bits, bucket_bytes):
+        path = tmp_path / "idx.bin"
+        size = (1 << n_bits) * bucket_bytes
+        store = FileBlockStore(path, size)
+        index = DiskIndex(n_bits, bucket_bytes=bucket_bytes, store=store)
+        for i, fp in enumerate(make_fps(3 * (1 << n_bits))):
+            index.insert(fp, i)
+        store.flush()
+        store.close()
+        # Bucket 1's header claims more entries than a bucket can hold.
+        blob = bytearray(path.read_bytes())
+        blob[bucket_bytes : bucket_bytes + 4] = (10**6).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        reopened = DiskIndex(n_bits, bucket_bytes=bucket_bytes, store=FileBlockStore(path, size))
+        expected = self.per_bucket_counts(reopened)
+        assert reopened._counts == expected
+        assert reopened._counts[1] == reopened.bucket_capacity  # clamped
+        assert reopened.entry_count == sum(expected)
+
+    def test_audit_still_reads_each_header(self, tmp_path):
+        store = FileBlockStore(tmp_path / "idx.bin", 64 * 512)
+        index = DiskIndex(6, bucket_bytes=512, store=store, checksummed=False)
+        for i, fp in enumerate(make_fps(150)):
+            index.insert(fp, i)
+        reopened = DiskIndex(6, bucket_bytes=512, store=store, checksummed=False)
+        assert audit_index(reopened).ok
+        k = next(k for k in range(64) if reopened._counts[k])
+        store.write(k * 512, (reopened._counts[k] - 1).to_bytes(4, "little"))
+        report = audit_index(reopened)
+        assert [f.code for f in report.findings] == ["count-cache"]
 
 
 class TestInsertLookup:
