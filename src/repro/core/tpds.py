@@ -247,9 +247,16 @@ class TwoPhaseDeduplicator:
                     stats.filtered_chunks += 1
                     stats.filtered_bytes += size
             # One append batch per session, so the new payloads are
-            # checksummed in one pass (``crc32c_many``).
-            self.chunk_log.append_many(new)
-            self._undetermined.extend(fp for fp, _, _ in new)
+            # checksummed in one pass (``crc32c_many``).  Every group that
+            # reached the log is undetermined, even when a full disk stops
+            # the batch part-way: recovery would replay it all the same.
+            logged = len(self.chunk_log)
+            try:
+                self.chunk_log.append_many(new)
+            finally:
+                self._undetermined.extend(
+                    fp for fp, _, _ in new[: len(self.chunk_log) - logged]
+                )
             stats.undetermined_fingerprints = stats.transferred_chunks
 
             # Time: every fingerprint crosses the network for checking; only the

@@ -31,6 +31,7 @@ take the per-call walk, payload by payload.  Both return the same values.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -141,7 +142,9 @@ def crc32c_combine(crc_a: int, crc_b: int, len_b: int) -> int:
 #    ``d``, and the stripes of each payload are XOR-reduced; XOR-ing the
 #    final 0xFFFFFFFF gives the standard CRC32C.
 #
-# The tables are built on the first batch, never at import.
+# The tables are built on the first batch, never at import.  The per-payload
+# scalars stay Python ints and the per-stripe math stays uint32: every
+# further NumPy loop the kernel ran would page in code that stays resident.
 
 #: Bytes per lane: each payload is walked as ceil(len / LANE_STRIPE) lanes.
 LANE_STRIPE = 64
@@ -152,7 +155,7 @@ LANE_CUTOFF = 2048
 
 #: Payload bytes per kernel pass, which bounds its scratch arrays (a larger
 #: single payload is a pass of its own).
-LANE_BATCH = 256 * 1024
+LANE_BATCH = 128 * 1024
 
 _LANE_WORDS = LANE_STRIPE // 4
 _ZERO_PAD = bytes(LANE_STRIPE)
@@ -175,47 +178,65 @@ def _lane_tables():
 @functools.lru_cache(maxsize=None)
 def _shift_table(level: int) -> np.ndarray:
     """Multiply by ``x^(8 * LANE_STRIPE * 2^level) mod P`` as ``uint32[4, 256]``,
-    from the 32 products of the constant with ``x^0 .. x^31``."""
+    from the 32 products of the constant with ``x^0 .. x^31``: each entry
+    is an earlier entry XOR one basis product."""
     k = (LANE_STRIPE * 8).bit_length() - 1 + level  # x^(2^k)
     basis = [_X2N[k & 31]]  # times x^0 (bit 31 in the reflected order)
     for _ in range(31):  # times x^1 .. x^31 (bits 30 .. 0)
         b = basis[-1]
         basis.append((b >> 1) ^ _POLY if b & 1 else b >> 1)
-    by_bit = np.array(basis[::-1], dtype=np.uint32).reshape(4, 1, 8)
-    bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)
-    return np.bitwise_xor.reduce(np.where(bits, by_bit, np.uint32(0)), axis=2)
+    by_bit = basis[::-1]  # the product for bit j of the register
+    rows = []
+    for byte in range(4):  # row k takes byte k: bits 8k .. 8k+7
+        row = [0] * 256
+        for v in range(1, 256):
+            low = v & -v
+            row[v] = row[v ^ low] ^ by_bit[8 * byte + low.bit_length() - 1]
+        rows.append(row)
+    return np.array(rows, dtype=np.uint32)
 
 
-def _lane_step(table: np.ndarray, reg: np.ndarray) -> np.ndarray:
-    """Apply a ``uint32[4, 256]`` byte-table operator to every register."""
+def _lane_step(table: np.ndarray, reg: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Apply a ``uint32[4, 256]`` byte-table operator to every register,
+    into ``out`` (``tmp`` is scratch of the same length)."""
     b = reg.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
-    return (
-        np.take(table[0], b[:, 0]) ^ np.take(table[1], b[:, 1])
-        ^ np.take(table[2], b[:, 2]) ^ np.take(table[3], b[:, 3])
-    )
+    np.take(table[0], b[:, 0], out=out)
+    for k in range(1, 4):
+        np.take(table[k], b[:, k], out=tmp)
+        out ^= tmp
 
 
 def _lane_pass(payloads: Sequence[Buffer]) -> List[int]:
     """CRC32C of every (non-empty) payload in one vectorised pass."""
     walk, init = _lane_tables()
-    lens = np.fromiter(map(len, payloads), np.int64, len(payloads))
-    stripes = -(-lens // LANE_STRIPE)
-    pads = stripes * LANE_STRIPE - lens
+    pads = [-len(p) % LANE_STRIPE for p in payloads]
+    stripes = [(len(p) + pad) // LANE_STRIPE for p, pad in zip(payloads, pads)]
+    # Every table the fold needs is built before the scratch below: a
+    # table allocated above it would pin the freed scratch in the heap.
+    shifts = [_shift_table(level) for level in range((max(stripes) - 1).bit_length())]
     parts = []
-    for payload, pad in zip(payloads, pads.tolist()):
+    for payload, pad in zip(payloads, pads):
         parts.append(_ZERO_PAD[:pad])
         parts.append(payload)
     words = np.frombuffer(b"".join(parts), "<u4").reshape(-1, _LANE_WORDS)
-    reg = np.zeros(len(words), dtype=np.uint32)
+    n = len(words)
+    reg = np.zeros(n, np.uint32)
+    out, tmp, held = np.empty((3, n), np.uint32)
     for w in range(_LANE_WORDS):
         reg ^= words[:, w]
-        reg = _lane_step(walk, reg)
-    first = np.cumsum(stripes) - stripes
+        _lane_step(walk, reg, out, tmp)
+        reg, out = out, reg
+    first = list(itertools.accumulate(stripes, initial=0))[:-1]
     reg[first] ^= init[pads]
-    after = np.repeat(first + stripes - 1, stripes) - np.arange(len(reg))
-    for level in range(int(stripes.max() - 1).bit_length()):
-        lanes = np.flatnonzero((after >> level) & 1)
-        reg[lanes] = _lane_step(_shift_table(level), reg[lanes])
+    # Stripes still to follow in the payload, per stripe.
+    after = np.repeat(np.array([f + s - 1 for f, s in zip(first, stripes)], np.uint32), stripes)
+    after -= np.arange(n, dtype=np.uint32)
+    for level, shift in enumerate(shifts):
+        lanes = np.flatnonzero(after & np.uint32(1 << level))
+        m = len(lanes)
+        np.take(reg, lanes, out=held[:m])
+        _lane_step(shift, held[:m], out[:m], tmp[:m])
+        reg[lanes] = out[:m]
     crcs = np.bitwise_xor.reduceat(reg, first) ^ np.uint32(0xFFFFFFFF)
     return crcs.tolist()
 

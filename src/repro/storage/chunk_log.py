@@ -54,6 +54,23 @@ class LogRecord:
         return FINGERPRINT_SIZE + self.size
 
 
+#: One group to append: fingerprint, payload (``None`` when virtual), size.
+Group = Tuple[Fingerprint, Optional[bytes], Optional[int]]
+
+
+def _log_record(
+    fp: Fingerprint, data: Optional[bytes], size: Optional[int], crc: Optional[int] = None
+) -> LogRecord:
+    """The record of one group; ``size`` is taken from ``data`` when present."""
+    if data is not None:
+        size = len(data)
+    elif size is None:
+        raise ValueError("either data or size is required")
+    if size < 0:
+        raise ValueError("chunk size must be non-negative")
+    return LogRecord(fp, size, data, crc)
+
+
 class ChunkLog:
     """An append-only log of chunk groups with sequential replay."""
 
@@ -73,20 +90,12 @@ class ChunkLog:
 
     def append(self, fp: Fingerprint, data: Optional[bytes] = None, size: Optional[int] = None) -> None:
         """Append one group (pass ``data``, or ``size`` alone when virtual)."""
-        if data is not None:
-            size = len(data)
-        elif size is None:
-            raise ValueError("either data or size is required")
-        if size < 0:
-            raise ValueError("chunk size must be non-negative")
-        self._admit(LogRecord(fp, size, data))
+        self.append_many([(fp, data, size)])
 
-    def append_many(
-        self, groups: Iterable[Tuple[Fingerprint, Optional[bytes], int]]
-    ) -> None:
+    def append_many(self, groups: Iterable[Group]) -> None:
         """Append ``(fp, data, size)`` groups in order (``data`` may be ``None``)."""
         for fp, data, size in groups:
-            self.append(fp, data=data, size=size)
+            self._admit(_log_record(fp, data, size))
 
     def _admit(self, record: LogRecord) -> None:
         self._records.append(record)
@@ -229,46 +238,31 @@ class PersistentChunkLog(ChunkLog):
         self._bytes += record.log_bytes
 
     # -- the ChunkLog interface, file-first -----------------------------------
-    def append(
-        self,
-        fp: Fingerprint,
-        data: Optional[bytes] = None,
-        size: Optional[int] = None,
-        crc: Optional[int] = None,
-    ) -> None:
-        """Append one group; ``crc`` is ``data``'s CRC32C when the caller
-        already took it (:meth:`append_many`)."""
-        if data is not None:
-            size = len(data)
-            if crc is None:
-                crc = crc32c(data)
-        elif size is None:
-            raise ValueError("either data or size is required")
-        # The one pass over a new chunk's bytes: everything downstream
-        # (this frame, the container record) reuses the value.
-        record = LogRecord(fp, size, data, crc)
-        frame = _frame_group(record)
-        try:
-            io_retry(
-                lambda: self.fs.append_file(self.path, frame),
-                on_retry=self._t_retries.inc,
-            )
-        except OSError as exc:
-            if exc.errno == errno.ENOSPC:
-                raise DiskFullError(
-                    f"chunk log {self.path.name}: {exc}", artifact="chunk log"
-                ) from exc
-            raise
-        self._admit(record)
+    def append_many(self, groups: Iterable[Group]) -> None:
+        """Append groups in order, each to the file before memory.
 
-    def append_many(
-        self, groups: Iterable[Tuple[Fingerprint, Optional[bytes], int]]
-    ) -> None:
-        """Append groups in order, their payloads checksummed in one batch."""
+        The payloads are checksummed in one batch: the one pass over a new
+        chunk's bytes, which everything downstream (the frame, the
+        container record) reuses.  A failed append leaves the groups before
+        it appended.
+        """
         groups = list(groups)
         crcs = iter(crc32c_many([data for _, data, _ in groups if data is not None]))
         for fp, data, size in groups:
-            self.append(fp, data, size, None if data is None else next(crcs))
+            record = _log_record(fp, data, size, None if data is None else next(crcs))
+            frame = _frame_group(record)
+            try:
+                io_retry(
+                    lambda: self.fs.append_file(self.path, frame),
+                    on_retry=self._t_retries.inc,
+                )
+            except OSError as exc:
+                if exc.errno == errno.ENOSPC:
+                    raise DiskFullError(
+                        f"chunk log {self.path.name}: {exc}", artifact="chunk log"
+                    ) from exc
+                raise
+            self._admit(record)
 
     def clear(self) -> None:
         # Rewriting the file would silently destroy any corrupt frames

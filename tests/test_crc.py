@@ -40,6 +40,7 @@ from repro.durability.framing import (
     scan_frames,
     superblock_size,
 )
+from repro.durability.errors import DiskFullError
 from repro.durability.fsshim import FaultRule, FaultyFs, flip_byte_on_disk
 from repro.durability.recovery import RecoveryManager
 from repro.durability.scrubber import Scrubber
@@ -337,6 +338,22 @@ class TestCrashPath:
         assert container_images(tmp_path / "vault") == container_images(tmp_path / "ref")
         assert Scrubber(reopened).run().clean
         reopened.close()
+
+    def test_a_full_disk_part_way_leaves_the_landed_groups_undetermined(self, tmp_path):
+        # The session's groups go to the log as one batch; ENOSPC on the
+        # third append must leave the first two in the log *and* awaiting
+        # dedup-2, as a restart's recovery would see them.
+        src = write_source(tmp_path / "src", n_files=1)
+        fs = FaultyFs([FaultRule(
+            op="append_file", kind="enospc", path_contains="chunk.log", after=2,
+        )])
+        vault = DebarVault(tmp_path / "vault", fs=fs, container_bytes=256 * 1024)
+        with pytest.raises(DiskFullError):
+            vault.backup("docs", [src])
+        logged = [r.fingerprint for r in vault.tpds.chunk_log.replay()]
+        assert len(logged) == 2
+        assert vault.tpds.drain_undetermined() == logged
+        vault.close()
 
     @pytest.mark.parametrize("where", ["on disk", "on read"])
     def test_flipped_log_payload_never_reaches_a_container(self, tmp_path, where):
