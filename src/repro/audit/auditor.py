@@ -188,30 +188,31 @@ def audit_store(
 ) -> AuditReport:
     """Cross-reference one index (part) against the chunk repository.
 
-    ``repository`` is anything with ``iter_containers()`` (both the
+    ``repository`` is anything with ``iter_index_entries()`` (both the
     in-memory :class:`~repro.storage.repository.ChunkRepository` and the
-    on-disk :class:`~repro.storage.file_repository.FileChunkRepository`).
-    Fingerprints the index part does not own are skipped — in a cluster the
-    repository is shared and each part covers its own prefix.
+    on-disk :class:`~repro.storage.file_repository.FileChunkRepository`,
+    which reads the metadata sections alone).  Fingerprints the index part
+    does not own are skipped — in a cluster the repository is shared and
+    each part covers its own prefix.
     """
     report = report if report is not None else AuditReport()
     label = _part_label(index)
     stored: Dict[Fingerprint, int] = {}
-    for container in repository.iter_containers():
-        report.count("containers", 1)
-        for record in container.records:
-            fp = record.fingerprint
-            if not index.owns(fp):
-                continue
-            report.count("chunks", 1)
-            if fp in stored:
-                report.add(
-                    "duplicate-store",
-                    f"{label}fingerprint {fp_hex(fp)} stored in containers "
-                    f"{stored[fp]} and {container.container_id}",
-                )
-                continue
-            stored[fp] = container.container_id
+    containers: Set[int] = set()
+    for fp, cid in repository.iter_index_entries():
+        containers.add(cid)
+        if not index.owns(fp):
+            continue
+        report.count("chunks", 1)
+        if fp in stored:
+            report.add(
+                "duplicate-store",
+                f"{label}fingerprint {fp_hex(fp)} stored in containers "
+                f"{stored[fp]} and {cid}",
+            )
+            continue
+        stored[fp] = cid
+    report.count("containers", len(containers))
     indexed = dict(index.iter_entries())
     for fp, cid in indexed.items():
         if fp not in stored:
@@ -298,25 +299,25 @@ def audit_restorability(
     repositories only): records carrying a CRC32C (everything that came
     through the persistent chunk log or off disk) against it, records
     built without one (simulated systems) by re-hashing against the
-    fingerprint.  Each container is checked whole, in one
-    :meth:`~repro.storage.container.Container.verify_payloads` batch, the
-    first time a run references it.  ``chunk_log`` (when given) lets a
-    corrupt-payload finding say whether the scrubber could repair it
-    locally.
+    fingerprint.  Fingerprints are resolved first; then each referenced
+    container is fetched once, in container order, and checked whole in
+    one :meth:`~repro.storage.container.Container.verify_payloads` batch.
+    A damaged chunk is reported once per reference, naming the run.
+    ``chunk_log`` (when given) lets a corrupt-payload finding say whether
+    the scrubber could repair it locally.
     """
     report = report if report is not None else AuditReport()
-    verified: Dict[Fingerprint, int] = {}
-    #: Per container, the fingerprints whose payload fails its check —
-    #: each container's records are verified in one batch on first use.
-    damaged_in: Dict[int, Set[Fingerprint]] = {}
+    where: Dict[Fingerprint, Optional[int]] = {}
+    #: Per referenced container: each fingerprint it must hold, with the
+    #: label of every run reference to it.
+    wanted: Dict[int, Dict[Fingerprint, List[object]]] = {}
     for run_label, fps in run_fingerprints:
         report.count("runs", 1)
         for fp in fps:
             report.count("run_fingerprints", 1)
-            cached = verified.get(fp)
-            if cached is not None:
-                continue
-            cid = resolve(fp)
+            if fp not in where:
+                where[fp] = resolve(fp)
+            cid = where[fp]
             if cid is None:
                 report.add(
                     "chunk-unrestorable",
@@ -324,49 +325,46 @@ def audit_restorability(
                     "no container — the backup cannot be restored",
                 )
                 continue
-            try:
-                container = repository.fetch(cid)
-            except KeyError:
-                report.add(
-                    "chunk-unrestorable",
-                    f"run {run_label}: fingerprint {fp_hex(fp)} points at "
-                    f"missing container {cid}",
-                )
-                continue
-            except CorruptionError as exc:
-                report.add(
-                    "chunk-unrestorable",
-                    f"run {run_label}: container {cid} is unreadable "
-                    f"({exc}) — `repro scrub --repair` can attempt a rebuild",
-                )
-                continue
+            wanted.setdefault(cid, {}).setdefault(fp, []).append(run_label)
+
+    def flag(code: str, runs: List[object], detail: str) -> None:
+        for run_label in runs:
+            report.add(code, f"run {run_label}: {detail}")
+
+    for cid in sorted(wanted):
+        refs = wanted.pop(cid)
+        try:
+            container = repository.fetch(cid)
+        except KeyError:
+            for fp, runs in refs.items():
+                flag("chunk-unrestorable", runs,
+                     f"fingerprint {fp_hex(fp)} points at missing container {cid}")
+            continue
+        except CorruptionError as exc:
+            for runs in refs.values():
+                flag("chunk-unrestorable", runs,
+                     f"container {cid} is unreadable ({exc}) — "
+                     "`repro scrub --repair` can attempt a rebuild")
+            continue
+        # Only materialized payloads can be checked; virtual containers
+        # regenerate synthetic payloads on read.
+        deep_here = deep and container.data is not None
+        damaged = (
+            {fault.fingerprint for fault in container.verify_payloads()}
+            if deep_here else set()
+        )
+        for fp, runs in refs.items():
             if fp not in container:
-                report.add(
-                    "index-mismatch",
-                    f"run {run_label}: container {cid} does not hold "
-                    f"{fp_hex(fp)}",
-                )
-                continue
-            if deep and container.data is not None:
-                # Only materialized payloads can be checked; virtual
-                # containers regenerate synthetic payloads on read.
-                damaged = damaged_in.get(cid)
-                if damaged is None:
-                    damaged = damaged_in[cid] = {
-                        fault.fingerprint for fault in container.verify_payloads()
-                    }
-                if fp in damaged:
-                    rec = container.record_for(fp)
-                    report.add(
-                        "payload-corrupt",
-                        f"run {run_label}: payload of {fp_hex(fp)} in "
-                        f"container {cid} fails its checksum at byte "
-                        f"{container.data_start + rec.offset} of the image; "
-                        + _repair_hint(fp, chunk_log),
-                    )
-                    continue
+                flag("index-mismatch", runs,
+                     f"container {cid} does not hold {fp_hex(fp)}")
+            elif fp in damaged:
+                rec = container.record_for(fp)
+                flag("payload-corrupt", runs,
+                     f"payload of {fp_hex(fp)} in container {cid} fails its "
+                     f"checksum at byte {container.data_start + rec.offset} "
+                     "of the image; " + _repair_hint(fp, chunk_log))
+            elif deep_here:
                 report.count("payloads_verified", 1)
-            verified[fp] = cid
     return report
 
 

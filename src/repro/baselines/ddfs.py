@@ -146,8 +146,7 @@ class DdfsServer:
             stats.index_lookups += 1
             random_probes += probes
             if cid is not None:
-                container = self.container_manager.fetch(cid)
-                self.lpc.insert_container(cid, container.fingerprints)
+                self.lpc.insert_container(self.container_manager.fetch(cid))
                 prefetch_reads += 1
                 stats.duplicate_chunks += 1
             else:
@@ -202,7 +201,7 @@ class DdfsServer:
         # DDFS inserts a freshly written container's fingerprint group into
         # the cache (stream-informed layout makes its neighbours likely to
         # recur), which is what catches within-stream duplicates inline.
-        self.lpc.insert_container(container.container_id, container.fingerprints)
+        self.lpc.insert_container(container)
         self._open_fps.clear()
         self._writer = ContainerWriter(self.container_bytes, materialize=self.materialize)
         if stats is not None:
@@ -252,8 +251,8 @@ class DdfsServer:
     # ------------------------------------------------------------------ restore
     def read_chunk(self, fp: Fingerprint) -> bytes:
         """Restore-path chunk read via LPC (Section 3.3's retrieval flow)."""
-        cid = self.lpc.lookup(fp)
-        if cid is None:
+        container = self.lpc.lookup(fp)
+        if container is None:
             cid, probes = self.index.lookup_with_probes(fp)
             if cid is None:
                 raise KeyError(f"fingerprint {fp.hex()[:12]} not stored")
@@ -261,10 +260,9 @@ class DdfsServer:
                 "restore.index_random", self.rig.index_disk.random_read_time(probes)
             )
             container = self.container_manager.fetch(cid)
-            self.lpc.insert_container(cid, container.fingerprints)
+            self.lpc.insert_container(container)
             self.meter.charge(
                 "restore.container_read",
                 self.rig.repository_disk.seq_read_time(container.capacity),
             )
-        container = self.container_manager.fetch(cid)
         return container.get(fp)

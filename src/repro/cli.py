@@ -646,10 +646,9 @@ def cmd_serve(args) -> int:
             )
         if args.archive or args.retention:
             # Archive role: the server's delta handlers are always live;
-            # the flag wires the retention director so stored chains are
-            # compacted (expired points merged forward) after each push.
+            # a retention policy compacts stored chains (expired points
+            # merged forward) after each push.
             from repro.archive.retention import RetentionPolicy
-            from repro.director.director import Director
 
             try:
                 retention = (
@@ -660,7 +659,7 @@ def cmd_serve(args) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 server.shutdown_gracefully(timeout=1.0)
                 return EXIT_USAGE
-            server.archive_director = Director(retention=retention)
+            server.archive_retention = retention
             print(
                 "archive role enabled "
                 + (f"(retention {retention.spec()})" if retention

@@ -7,31 +7,29 @@ cluster runs dedup-2.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.fingerprint import Fingerprint
 from repro.director.jobs import JobChain, JobObject, JobRun, Schedule
 from repro.director.metadata import FileIndexEntry, MetadataManager, MetadataStore
 from repro.director.scheduler import Dedup2Policy, JobScheduler
 
+if TYPE_CHECKING:
+    from repro.core.tpds import Dedup1Stats
+
 
 class Director:
-    """Global management: jobs, chains, metadata, scheduling, dedup-2,
-    and archive retention."""
+    """Global management: jobs, chains, metadata, scheduling, dedup-2."""
 
     def __init__(
         self,
         n_servers: int = 1,
         policy: Optional[Dedup2Policy] = None,
         metadata_store: Optional[MetadataStore] = None,
-        retention=None,
     ) -> None:
         self.scheduler = JobScheduler(n_servers)
         self.policy = policy if policy is not None else Dedup2Policy()
         self.metadata = MetadataManager(store=metadata_store)
-        #: Archive retention policy (repro.archive.retention); None means
-        #: the archive keeps every restore point forever.
-        self.retention = retention
         self._jobs: Dict[int, JobObject] = {}
         self._chains: Dict[int, JobChain] = {}
         self.dedup2_runs = 0
@@ -77,8 +75,14 @@ class Director:
         """Open a run record at backup start."""
         return JobRun(job, timestamp, server=server)
 
-    def complete_run(self, run: JobRun, file_entries: Sequence[FileIndexEntry]) -> None:
-        """Close a run: record it on the chain and persist its metadata."""
+    def complete_run(
+        self, run: JobRun, file_entries: Sequence[FileIndexEntry], stats: "Dedup1Stats"
+    ) -> None:
+        """Close a run: take its volumes from the dedup-1 session's stats,
+        record it on the chain and persist its metadata."""
+        run.logical_bytes = stats.logical_bytes
+        run.transferred_bytes = stats.transferred_bytes
+        run.chunk_count = stats.logical_chunks
         self._chains[run.job.job_id].record(run)
         self.metadata.record_run_files(run.run_id, file_entries)
 
@@ -103,13 +107,3 @@ class Director:
 
     def record_dedup2(self) -> None:
         self.dedup2_runs += 1
-
-    # -- archive retention -------------------------------------------------------------
-    def expire_archive(self, store, origin: str, job: str) -> List[int]:
-        """Evaluate retention for one archived chain and apply it: expired
-        runs merge forward (``repro.archive.store``) before dropping, so
-        every surviving point stays restorable.  Returns the expired ids.
-        """
-        if self.retention is None:
-            return []
-        return store.apply_retention(origin, job, self.retention)

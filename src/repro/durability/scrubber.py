@@ -433,8 +433,9 @@ class Scrubber:
         if fixed:
             healed = Container(cid, records, bytes(data), container.capacity)
             # write_image heals in place on whichever tier holds the
-            # container and invalidates the read/metadata caches.
+            # container; the LPC must stop serving the rotted copy.
             self.vault.repository.write_image(cid, healed.serialize())
+            self.vault.chunk_store.lpc.discard(cid)
             report.repaired += fixed
 
     def _handle_unparseable_container(
@@ -481,6 +482,7 @@ class Scrubber:
                 if source not in sources:
                     sources.append(source)
         self.vault.repository.quarantine(cid)
+        self.vault.chunk_store.lpc.discard(cid)
         if recovered:
             records: List[ChunkRecord] = []
             blob = bytearray()

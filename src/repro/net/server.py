@@ -56,6 +56,7 @@ from repro.net import messages as m
 from repro.durability.errors import MediaError
 from repro.net.aioserver import AsyncFrameServer, _error_frame
 from repro.net.framing import Frame, ProtocolError
+from repro.archive.retention import RetentionPolicy
 from repro.archive.store import ArchiveStore
 from repro.replication.store import ReplicaStore
 from repro.system.catalog import mirrored_run_count
@@ -244,9 +245,9 @@ class VaultProtocolServer(AsyncFrameServer):
         #: --archive-to is given; None on a standalone daemon.
         self.replicator = None
         self.archive_shipper = None
-        #: Retention-evaluating director (repro.director) for the archive
-        #: role, attached by the CLI when --archive --retention is given.
-        self.archive_director = None
+        #: Retention policy of the archive role (repro.archive.retention),
+        #: set by the CLI from --retention; None keeps every restore point.
+        self.archive_retention: Optional[RetentionPolicy] = None
         self._t_bytes_in = registry.counter(
             "net.bytes_received", "protocol bytes received, by role"
         ).labels(role="server")
@@ -632,13 +633,9 @@ class VaultProtocolServer(AsyncFrameServer):
         # cluster caller therefore qualifies the lookup with the job name,
         # and a mismatched run answers "not here" instead of handing out
         # another job's data.
-        job = doc.get("job") or None
         with self.vault_lock:
-            for run in self.vault.runs(job=job):
-                if run.run_id == run_id:
-                    return m.META_ENTRIES, m.encode_index_entries(run.files)
-        scope = f"job {job!r}" if job else "this vault"
-        raise VaultError(f"no run {run_id} for {scope}")
+            entries = self.vault.run_entries(run_id, doc.get("job") or None)
+        return m.META_ENTRIES, m.encode_index_entries(entries)
 
     def _on_runs(self, payload: bytes) -> Tuple[int, bytes]:
         doc = m.decode_json(payload)
@@ -771,11 +768,11 @@ class VaultProtocolServer(AsyncFrameServer):
         # contract; a re-push of an applied run is an idempotent no-op.
         stored, tip = self.archive_store.ingest(origin, job, blob)
         expired: List[int] = []
-        if stored and self.archive_director is not None:
+        if stored and self.archive_retention is not None:
             # Out-of-line retention, at the archive: expired points merge
             # forward before dropping, off the origin's inline path.
-            expired = self.archive_director.expire_archive(
-                self.archive_store, origin, job
+            expired = self.archive_store.apply_retention(
+                origin, job, self.archive_retention
             )
         return m.DELTA_PUSH_OK, m.encode_json({
             "origin": origin,
@@ -795,9 +792,7 @@ class VaultProtocolServer(AsyncFrameServer):
         return m.DELTA_DATA, blob
 
     def _on_archive_status(self, payload: bytes) -> Tuple[int, bytes]:
-        retention = None
-        if self.archive_director is not None and self.archive_director.retention:
-            retention = self.archive_director.retention.spec()
+        retention = self.archive_retention
         status = {
             "node": self.node_name,
             **self.archive_store.status(),
@@ -806,19 +801,15 @@ class VaultProtocolServer(AsyncFrameServer):
                 if self.archive_shipper is not None
                 else None
             ),
-            "retention": retention,
+            "retention": retention.spec() if retention is not None else None,
         }
         return m.ARCHIVE_STATUS_OK, m.encode_json(status)
 
     def _on_archive_merge(self, payload: bytes) -> Tuple[int, bytes]:
-        from repro.archive.retention import RetentionPolicy
-
         doc = m.decode_json(payload)
-        policy = None
+        policy = self.archive_retention
         if doc.get("retention"):
             policy = RetentionPolicy.parse(str(doc["retention"]))
-        elif self.archive_director is not None:
-            policy = self.archive_director.retention
         if policy is None:
             raise ValueError(
                 "no retention policy: pass one or serve with --retention"

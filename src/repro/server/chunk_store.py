@@ -3,9 +3,9 @@
 Dedup-2 (SIL -> chunk storing -> SIU) is the TPDS engine's own.  The
 retrieval path implements the paper's LPC flow: look in the in-memory cache
 first; on a miss, one random disk-index lookup locates the container, the
-container is read and its *whole* fingerprint group cached, and the chunk
-is served — so sequential restores of SISL-laid-out streams hit the cache
-almost always (99.3 % in the paper's measurement).
+container is read and cached whole, and the chunk is served — so
+sequential restores of SISL-laid-out streams hit the cache almost always
+(99.3 % in the paper's measurement).
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ class ChunkStore:
 
     def read_chunk(self, fp: Fingerprint) -> bytes:
         """Read one chunk by fingerprint through the LPC (Section 3.3)."""
-        tpds = self._tpds
-        cid = self.lpc.lookup(fp)
-        if cid is None:
+        container = self.lpc.lookup(fp)
+        if container is None:
+            tpds = self._tpds
             cid, probes = tpds.index.lookup_with_probes(fp)
             if cid is None:
                 # Not yet registered? chunks pending SIU are still findable
@@ -55,9 +55,7 @@ class ChunkStore:
                 "restore.container_read",
                 tpds.rig.repository_disk.seq_read_time(container.capacity),
             )
-            self.lpc.insert_container(cid, container.fingerprints)
-        else:
-            container = tpds.repository.fetch(cid)
+            self.lpc.insert_container(container)
         return container.get(fp, self._payload)
 
     @property

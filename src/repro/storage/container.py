@@ -91,6 +91,11 @@ class PayloadFault:
     reason: str
 
 
+#: First read when parsing a metadata section: superblock + ~290 records.
+#: One extra read only for containers with more records than that.
+META_PREFIX_GUESS = 8192
+
+
 class MetaPrefixShort(Exception):
     """:meth:`Container.parse_meta` needs more leading bytes.
 
@@ -245,14 +250,9 @@ class Container:
         scrub/audit via :meth:`verify_payloads`.  An image that does not
         start with a superblock is corrupt (:class:`CorruptionError`).
         """
-        try:
-            records, data_start = cls.parse_meta(container_id, blob)
-        except MetaPrefixShort:
-            raise TornWriteError(
-                f"container {container_id}: metadata section cut short",
-                artifact=f"container {container_id}", container_id=container_id,
-                offset=FRAMED_META_FIXED,
-            ) from None
+        records, data_start = cls.read_meta(
+            container_id, lambda offset, n: blob[offset : offset + n]
+        )
         data_len = max((r.offset + r.size for r in records), default=0)
         data = blob[data_start : data_start + data_len]
         return cls(container_id, records, data, capacity)
@@ -299,6 +299,49 @@ class Container:
             for i in range(count)
         ]
         return records, needed
+
+    @classmethod
+    def read_meta(
+        cls, container_id: int, read_range: Callable[[int, int], bytes]
+    ) -> Tuple[List[ChunkRecord], int]:
+        """:meth:`parse_meta` over ``read_range(offset, length)`` of the
+        image: one bounded read, a second only for containers with more
+        records than :data:`META_PREFIX_GUESS` covers."""
+        try:
+            return cls.parse_meta(container_id, read_range(0, META_PREFIX_GUESS))
+        except MetaPrefixShort as exc:
+            prefix = read_range(0, exc.needed)
+            if len(prefix) < exc.needed:
+                raise TornWriteError(
+                    f"container {container_id}: metadata section cut short",
+                    artifact=f"container {container_id}", container_id=container_id,
+                    offset=FRAMED_META_FIXED,
+                ) from None
+            return cls.parse_meta(container_id, prefix)
+
+    @classmethod
+    def read(
+        cls,
+        container_id: int,
+        read_range: Callable[[int, int], bytes],
+        records: Optional[List[ChunkRecord]] = None,
+        data_start: int = 0,
+        capacity: int = CONTAINER_SIZE,
+    ) -> "Container":
+        """A container from ranged reads of its image: the metadata section
+        (unless ``records``/``data_start`` are already known), then the
+        data section — never the zero padding up to ``capacity``."""
+        if records is None:
+            records, data_start = cls.read_meta(container_id, read_range)
+        data_len = max((r.offset + r.size for r in records), default=0)
+        data = read_range(data_start, data_len) if data_len else b""
+        if len(data) < data_len:
+            raise TornWriteError(
+                f"container {container_id}: data section cut short",
+                artifact="container", container_id=container_id,
+                offset=data_start,
+            )
+        return cls(container_id, records, data, capacity)
 
     def verify_payloads(
         self, records: Optional[List[ChunkRecord]] = None

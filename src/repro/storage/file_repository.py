@@ -7,20 +7,23 @@ from the metadata sections alone.
 
 Interface-compatible with :class:`~repro.storage.repository.ChunkRepository`
 for everything the single-server stack uses (allocate/store/fetch/locate,
-recovery iteration, byte accounting); containers are cached after first
-read, so repeated restore fetches do not re-hit the filesystem.
+recovery iteration, byte accounting).  It is a plain store: every fetch
+reads the file (metadata and data sections, never the padding), metadata
+scans read the metadata section alone, and sweeps stream one container
+at a time.  The read cache above it is the chunk store's LPC
+(:mod:`repro.storage.lpc`).
 """
 
 from __future__ import annotations
 
 import errno
 from pathlib import Path
-from typing import Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.fingerprint import MAX_CONTAINER_ID
 from repro.durability.errors import DiskFullError
 from repro.durability.fsshim import LocalFs, io_retry
-from repro.storage.container import CONTAINER_SIZE, Container
+from repro.storage.container import CONTAINER_SIZE, ChunkRecord, Container
 
 _SUFFIX = ".ctr"
 
@@ -44,7 +47,6 @@ class FileChunkRepository:
             self.root.mkdir(parents=True, exist_ok=True)
         elif not self.root.is_dir():
             raise FileNotFoundError(f"no repository at {self.root}")
-        self._cache: Dict[int, Container] = {}
         self._ids = sorted(
             int(p.stem, 16) for p in self.root.glob(f"*{_SUFFIX}")
         )
@@ -53,13 +55,15 @@ class FileChunkRepository:
     def _path(self, container_id: int) -> Path:
         return self.root / f"{container_id:012x}{_SUFFIX}"
 
+    def _open(self, container_id: int):
+        path = self._path(container_id)
+        if not self.fs.exists(path):
+            raise KeyError(f"container {container_id} not in repository")
+        return open(path, "rb")
+
     def path_for(self, container_id: int) -> Path:
         """On-disk path of a container image (scrub reads these raw)."""
         return self._path(container_id)
-
-    def invalidate(self, container_id: int) -> None:
-        """Drop a container from the read cache (after an on-disk repair)."""
-        self._cache.pop(container_id, None)
 
     # -- the ChunkRepository interface ----------------------------------------
     def allocate_id(self) -> int:
@@ -90,21 +94,14 @@ class FileChunkRepository:
                 ) from exc
             raise
         self._ids.append(container.container_id)
-        self._cache[container.container_id] = container
         return 0  # single node
 
     def fetch(self, container_id: int) -> Container:
-        cached = self._cache.get(container_id)
-        if cached is not None:
-            return cached
-        path = self._path(container_id)
-        if not self.fs.exists(path):
-            raise KeyError(f"container {container_id} not in repository")
-        container = Container.deserialize(
-            container_id, self.fs.read_file(path), capacity=self.container_bytes
-        )
-        self._cache[container_id] = container
-        return container
+        with self._open(container_id) as fh:
+            return Container.read(
+                container_id, lambda offset, n: self.fs.pread(fh, offset, n),
+                capacity=self.container_bytes,
+            )
 
     def remove(self, container_id: int) -> None:
         """Delete a container (garbage collection of dead containers)."""
@@ -112,7 +109,6 @@ class FileChunkRepository:
         if not self.fs.exists(path):
             raise KeyError(f"container {container_id} not in repository")
         self.fs.unlink(path)
-        self._cache.pop(container_id, None)
         self._ids.remove(container_id)
 
     def locate(self, container_id: int) -> int:
@@ -121,7 +117,7 @@ class FileChunkRepository:
         return 0
 
     def __contains__(self, container_id: int) -> bool:
-        return container_id in self._cache or self._path(container_id).exists()
+        return self._path(container_id).exists()
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -133,12 +129,23 @@ class FileChunkRepository:
         for cid in self.container_ids():
             yield self.fetch(cid)
 
+    def fetch_meta(self, container_id: int) -> Tuple[List[ChunkRecord], int]:
+        """``(records, data_start)`` from the metadata section alone: a
+        bounded prefix read, no payload bytes."""
+        with self._open(container_id) as fh:
+            return Container.read_meta(
+                container_id, lambda offset, n: self.fs.pread(fh, offset, n)
+            )
+
     def iter_index_entries(self) -> Iterator[Tuple[bytes, int]]:
-        """(fingerprint, container ID) pairs — the recovery scan."""
-        for container in self.iter_containers():
-            for record in container.records:
-                yield record.fingerprint, container.container_id
+        """(fingerprint, container ID) pairs — the recovery scan, from the
+        metadata sections alone."""
+        for cid in self.container_ids():
+            for record in self.fetch_meta(cid)[0]:
+                yield record.fingerprint, cid
 
     @property
     def stored_chunk_bytes(self) -> int:
-        return sum(c.data_bytes for c in self.iter_containers())
+        return sum(
+            r.size for cid in self.container_ids() for r in self.fetch_meta(cid)[0]
+        )

@@ -17,7 +17,9 @@ GET (parsed by :meth:`Container.parse_meta`, cached in an injectable
 :class:`~repro.backend.cache.MetaCache`), payloads from byte-range GETs —
 ``fetch`` pulls only the data section, never the zero padding, and
 :meth:`verify_cold_payloads` scrubs a container with coalesced multi-range
-GETs instead of downloading the image.
+GETs instead of downloading the image.  No container is held in memory
+here: the bounded metadata cache holds only cold metadata sections, and
+the read cache of whole containers is the chunk store's LPC.
 
 With no cold backend attached the class is behaviourally identical to its
 parent — the vault constructs it unconditionally at zero cost.
@@ -36,7 +38,6 @@ from repro.storage.container import (
     CONTAINER_SIZE,
     ChunkRecord,
     Container,
-    MetaPrefixShort,
     PayloadFault,
     verify_records,
 )
@@ -47,10 +48,6 @@ PathLike = Union[str, Path]
 
 TIER_HOT = "hot"
 TIER_COLD = "cold"
-
-#: First ranged read when parsing cold metadata: superblock + ~290 records.
-#: One extra round trip only for containers with more records than that.
-META_PREFIX_GUESS = 8192
 
 
 class TieredChunkRepository(FileChunkRepository):
@@ -132,13 +129,12 @@ class TieredChunkRepository(FileChunkRepository):
     ) -> Tuple[List[ChunkRecord], int]:
         """``(records, data_start)`` for a container on either tier.
 
-        Hot containers parse from the (cached) file image; cold containers
-        from a bounded prefix GET through the metadata cache — at most two
-        range requests, and usually zero once the cache is warm.
+        Hot containers parse from a prefix of the file; cold containers from
+        a bounded prefix GET through the metadata cache — at most two range
+        requests, and usually zero once the cache is warm.
         """
-        if self._hot(container_id) or container_id in self._cache:
-            c = self.fetch(container_id)
-            return list(c.records), c.data_start
+        if self._hot(container_id):
+            return super().fetch_meta(container_id)
         meta = self.meta_cache.get(container_id)
         if meta is not None:
             return meta
@@ -153,18 +149,9 @@ class TieredChunkRepository(FileChunkRepository):
         bypassing the hot file and every cache — the read that proves the
         *object* is intact."""
         key = self._cold_object(container_id)
-        prefix = self.cold.get_range(key, 0, META_PREFIX_GUESS)
-        try:
-            return Container.parse_meta(container_id, prefix)
-        except MetaPrefixShort as exc:
-            prefix = self.cold.get_range(key, 0, exc.needed)
-            if len(prefix) < exc.needed:
-                raise TornWriteError(
-                    f"container {container_id}: cold object shorter than its "
-                    "metadata section",
-                    artifact="container", container_id=container_id,
-                )
-            return Container.parse_meta(container_id, prefix)
+        return Container.read_meta(
+            container_id, lambda offset, n: self.cold.get_range(key, offset, n)
+        )
 
     # -- ranged reads ---------------------------------------------------------
     def read_ranges(
@@ -189,15 +176,15 @@ class TieredChunkRepository(FileChunkRepository):
 
     def write_image(self, container_id: int, blob: bytes) -> None:
         """Overwrite a container image in place on whichever tier holds it
-        (repair path).  Caches are invalidated; a container neither tier
-        holds lands hot (the rebuild-from-sources case)."""
+        (repair path).  The cold metadata cache is invalidated; a container
+        neither tier holds lands hot (the rebuild-from-sources case)."""
         if self.cold is not None and container_id in self._cold_ids and not self._hot(container_id):
             self.cold.put(self.cold_key(container_id), blob)
         else:
             self.fs.write_file(self._path(container_id), blob)
             if container_id not in self._ids:
                 self._ids.append(container_id)
-        self.invalidate(container_id)
+        self.meta_cache.invalidate(container_id)
 
     def quarantine(self, container_id: int) -> str:
         """Move a damaged image aside (``…​.ctr.quarantine``) for forensics.
@@ -210,41 +197,27 @@ class TieredChunkRepository(FileChunkRepository):
         if self.fs.exists(path):
             qpath = path.with_suffix(path.suffix + ".quarantine")
             self.fs.replace(path, qpath)
-            self.invalidate(container_id)
+            self.meta_cache.invalidate(container_id)
             return str(qpath)
         if self.cold is not None and container_id in self._cold_ids:
             key = self.cold_key(container_id)
             qkey = key + ".quarantine"
             self.cold.put(qkey, self.cold.get(key))
             self.cold.delete(key)
-            self.invalidate(container_id)
+            self.meta_cache.invalidate(container_id)
             return qkey
         raise KeyError(f"container {container_id} not in repository")
 
-    def invalidate(self, container_id: int) -> None:
-        super().invalidate(container_id)
-        self.meta_cache.invalidate(container_id)
-
     # -- fetch / remove across tiers ------------------------------------------
     def fetch(self, container_id: int) -> Container:
-        cached = self._cache.get(container_id)
-        if cached is not None:
-            return cached
         if self._hot(container_id):
             return super().fetch(container_id)
         key = self._cold_object(container_id)
         records, data_start = self.fetch_meta(container_id)
-        data_len = max((r.offset + r.size for r in records), default=0)
-        data = self.cold.get_range(key, data_start, data_len) if data_len else b""
-        if len(data) < data_len:
-            raise TornWriteError(
-                f"container {container_id}: cold data section cut short",
-                artifact="container", container_id=container_id,
-                offset=data_start,
-            )
-        container = Container(container_id, records, data, self.container_bytes)
-        self._cache[container_id] = container
-        return container
+        return Container.read(
+            container_id, lambda offset, n: self.cold.get_range(key, offset, n),
+            records, data_start, self.container_bytes,
+        )
 
     def remove(self, container_id: int) -> None:
         removed = False
@@ -257,16 +230,10 @@ class TieredChunkRepository(FileChunkRepository):
             except ObjectMissingError:
                 pass
             self._cold_ids.discard(container_id)
-            self._cache.pop(container_id, None)
             removed = True
         self.meta_cache.invalidate(container_id)
         if not removed:
             raise KeyError(f"container {container_id} not in repository")
-
-    def locate(self, container_id: int) -> int:
-        if container_id not in self:
-            raise KeyError(f"container {container_id} not in repository")
-        return 0
 
     # -- migration ------------------------------------------------------------
     def migrate_to_cold(self, container_id: int) -> int:
@@ -306,8 +273,6 @@ class TieredChunkRepository(FileChunkRepository):
         self.fs.unlink(path)
         if container_id in self._ids:
             self._ids.remove(container_id)
-        # A migrated container should not pin its image in memory.
-        self._cache.pop(container_id, None)
         return len(blob)
 
     # -- ranged scrub ---------------------------------------------------------
@@ -316,12 +281,15 @@ class TieredChunkRepository(FileChunkRepository):
     ) -> Tuple[List[PayloadFault], int]:
         """Deep-verify a cold container from byte-range reads.
 
+        The metadata section is parsed from the object itself, not the
+        metadata cache (which it refreshes), so rot there is caught too.
         Adjacent payload ranges coalesce into one multi-range GET; the
         whole image is never downloaded (padding in particular).  Returns
         ``(faults, payload_bytes_read)`` — the same faults
         :meth:`Container.verify_payloads` would report on the full image.
         """
-        records, data_start = self.fetch_meta(container_id)
+        records, data_start = parsed = self._parse_cold_meta(container_id)
+        self.meta_cache.put(container_id, parsed)
         spans = [
             Span(data_start + r.offset, r.size, r) for r in records if r.size
         ]

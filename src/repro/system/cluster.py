@@ -225,10 +225,7 @@ class DebarCluster:
             run = self.director.begin_run(job, timestamp, server_id)
             filtering = self.director.filtering_fingerprints(job)
             d1, entries = self.servers[server_id].backup(files, filtering)
-            run.logical_bytes = d1.logical_bytes
-            run.transferred_bytes = d1.transferred_bytes
-            run.chunk_count = d1.logical_chunks
-            self.director.complete_run(run, entries)
+            self.director.complete_run(run, entries, d1)
             stats.per_server.append(d1)
             stats.logical_bytes += d1.logical_bytes
             stats.transferred_bytes += d1.transferred_bytes
@@ -576,8 +573,8 @@ class DebarCluster:
         """
         server = self.servers[via_server]
         store = server.chunk_store
-        cid = store.lpc.lookup(fp)
-        if cid is None:
+        container = store.lpc.lookup(fp)
+        if container is None:
             owner = self.owner_of(fp)
             owner_server = self.servers[owner]
             cid, probes = owner_server.index.lookup_with_probes(fp)
@@ -604,9 +601,7 @@ class DebarCluster:
                     "restore.remote_container",
                     self.network.transfer_time(container.capacity),
                 )
-            store.lpc.insert_container(cid, container.fingerprints)
-            return container.get(fp)
-        container = self.repository.fetch(cid)
+            store.lpc.insert_container(container)
         return container.get(fp)
 
     def restore_run(self, run_id: int, via_server: Optional[int] = None) -> List[bytes]:

@@ -87,10 +87,7 @@ class DebarSystem:
         run = self.director.begin_run(job, timestamp, server_id)
         filtering = self.director.filtering_fingerprints(job)
         stats, entries = self.server.backup(files, filtering)
-        run.logical_bytes = stats.logical_bytes
-        run.transferred_bytes = stats.transferred_bytes
-        run.chunk_count = stats.logical_chunks
-        self.director.complete_run(run, entries)
+        self.director.complete_run(run, entries, stats)
         if auto_dedup2:
             self._maybe_dedup2()
         return run, stats

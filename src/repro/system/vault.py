@@ -427,7 +427,8 @@ class DebarVault:
         ``deep=True`` additionally reads every referenced chunk and
         recomputes its SHA-1 — content addressing makes silent corruption
         detectable end to end (a flipped bit in any container payload
-        changes the digest).  Returns counters; raises
+        changes the digest).  Each referenced container is read from the
+        repository once, in container order.  Returns counters; raises
         :class:`~repro.durability.errors.CorruptionError` (carrying the
         container ID and fingerprint) on the first inconsistency.
         """
@@ -435,7 +436,7 @@ class DebarVault:
 
         checked = 0
         deep_checked = 0
-        verified_payload: set = set()
+        wanted: Dict[int, set] = {}
         for _, fps in self.catalog.iter_run_fingerprints():
             for fp in fps:
                 cid = self.tpds.index.lookup(fp)
@@ -445,26 +446,28 @@ class DebarVault:
                         artifact="index", fingerprint=fp,
                     )
                 checked += 1
-                if deep and fp not in verified_payload:
-                    try:
-                        container = self.repository.fetch(cid)
-                    except KeyError:
-                        container = ()  # a missing container holds nothing
-                    if fp not in container:
-                        raise CorruptionError(
-                            f"index points fingerprint {fp.hex()[:12]} at "
-                            f"container {cid}, which does not hold it",
-                            artifact="index", container_id=cid, fingerprint=fp,
-                        )
-                    data = container.get(fp)
-                    if sha1(data) != fp:
-                        raise CorruptionError(
-                            f"payload of {fp.hex()[:12]} does not match its "
-                            f"fingerprint — container {cid} is corrupt",
-                            artifact="container", container_id=cid, fingerprint=fp,
-                        )
-                    verified_payload.add(fp)
-                    deep_checked += 1
+                if deep:
+                    wanted.setdefault(cid, set()).add(fp)
+        for cid in sorted(wanted):
+            try:
+                container = self.repository.fetch(cid)
+            except KeyError:
+                container = ()  # a missing container holds nothing
+            for fp in sorted(wanted.pop(cid)):
+                if fp not in container:
+                    raise CorruptionError(
+                        f"index points fingerprint {fp.hex()[:12]} at "
+                        f"container {cid}, which does not hold it",
+                        artifact="index", container_id=cid, fingerprint=fp,
+                    )
+                if sha1(container.get(fp)) != fp:
+                    raise CorruptionError(
+                        f"payload of {fp.hex()[:12]} does not match its "
+                        f"fingerprint — container {cid} is corrupt",
+                        artifact="container", container_id=cid, fingerprint=fp,
+                    )
+                deep_checked += 1
+            container = None  # one image in memory at a time, not two
         return {
             "runs": len(self.catalog),
             "fingerprints": checked,

@@ -41,7 +41,6 @@ from repro.audit.faults import (
     inject,
 )
 from repro.core.fingerprint import fingerprint as sha1
-from repro.director.director import Director
 from repro.durability.errors import CorruptionError, TornWriteError
 from repro.net import messages as m
 from repro.net.client import NetClient, RemoteBackupClient, RetryPolicy
@@ -524,9 +523,7 @@ class TestArchiveCluster:
 
     def test_retention_compacts_at_the_archive(self, archive_cluster, tmp_path):
         vault_a, shipper, server_k, vault_k, registry = archive_cluster
-        server_k.archive_director = Director(
-            retention=RetentionPolicy(keep_last=2)
-        )
+        server_k.archive_retention = RetentionPolicy(keep_last=2)
         originals = self.backup_runs(vault_a, tmp_path, n=4)
         assert shipper.drain(timeout=10.0)
         assert wait_until(

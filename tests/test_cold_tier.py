@@ -82,7 +82,6 @@ def flip_cold_byte(vault, which=0, offset_fn=None):
     else:
         offset = offset_fn(container)
     flip_byte_on_disk(victim, offset, 0xFF)
-    vault.repository.invalidate(cid)
     return cid, rec.fingerprint, payload
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.tpds import Dedup1Stats
 from repro.director import Director
 from repro.director.metadata import FileIndexEntry, FileMetadata
 from tests.conftest import make_fps
@@ -24,9 +25,13 @@ class TestJobLifecycle:
         job = d.define_job("j", "c", [])
         server = d.assign_backup(job)
         run = d.begin_run(job, timestamp=1.0, server=server)
-        d.complete_run(run, [entry(make_fps(5))])
+        stats = Dedup1Stats(logical_bytes=40960, logical_chunks=5, transferred_bytes=8192)
+        d.complete_run(run, [entry(make_fps(5))], stats)
         assert d.chain(job).latest() is run
         assert d.metadata.fingerprints_for_run(run.run_id) == make_fps(5)
+        assert (run.logical_bytes, run.transferred_bytes, run.chunk_count) == (
+            40960, 8192, 5
+        )
 
     def test_assign_unregistered_job_rejected(self):
         d = Director()
@@ -48,11 +53,11 @@ class TestFilteringFingerprints:
         job = d.define_job("j", "c", [])
         fps1 = make_fps(10)
         run1 = d.begin_run(job, 1.0, d.assign_backup(job))
-        d.complete_run(run1, [entry(fps1)])
+        d.complete_run(run1, [entry(fps1)], Dedup1Stats())
         assert d.filtering_fingerprints(job) == fps1
         fps2 = make_fps(10, start=100)
         run2 = d.begin_run(job, 2.0, d.assign_backup(job))
-        d.complete_run(run2, [entry(fps2)])
+        d.complete_run(run2, [entry(fps2)], Dedup1Stats())
         assert d.filtering_fingerprints(job) == fps2
 
     def test_chains_are_per_job(self):
@@ -60,7 +65,7 @@ class TestFilteringFingerprints:
         a = d.define_job("a", "c", [])
         b = d.define_job("b", "c", [])
         run = d.begin_run(a, 1.0, d.assign_backup(a))
-        d.complete_run(run, [entry(make_fps(3))])
+        d.complete_run(run, [entry(make_fps(3))], Dedup1Stats())
         assert d.filtering_fingerprints(b) is None
 
 

@@ -28,8 +28,8 @@ class TestFileChunkRepository:
         cid = repo.allocate_id()
         original = sealed(cid)
         repo.store(original)
-        repo._cache.clear()  # force a cold read from disk
         fetched = repo.fetch(cid)
+        assert fetched is not original  # read back from the file
         assert fetched.records == original.records
         for fp in original.fingerprints:
             assert fetched.get(fp) == original.get(fp)

@@ -235,7 +235,6 @@ class TestGcCarriesChecksums:
             container.data_start + rec.offset + rec.size // 2,
             0xFF,
         )
-        vault.repository.invalidate(cid)
         return vault, rec.fingerprint
 
     @staticmethod
@@ -278,7 +277,6 @@ class TestGcCarriesChecksums:
         vault.forget(run1.run_id)
         assert vault.gc(rewrite_threshold=1.0).live_chunks_copied
         for cid in vault.repository.container_ids():
-            vault.repository.invalidate(cid)  # read the images, not the cache
             for rec in vault.repository.fetch(cid).records:
                 assert rec.crc == stored[rec.fingerprint]
 
@@ -286,13 +284,12 @@ class TestGcCarriesChecksums:
 class TestGcForgetsRemovedContainers:
     """``gc`` must drop the containers it removes from the LPC.
 
-    The LPC maps fingerprints to container ids.  ``gc`` used to remove
-    containers without telling it, so once a restore had warmed it, a
-    long-lived vault sent reads of copied-forward chunks to a container
-    that no longer existed: ``KeyError: 'container 0 not in repository'``
-    in process, and through ``repro serve`` a ``RemoteError`` after the
-    daemon fell through to its replica store.  A freshly opened vault
-    restored the same run fine.
+    ``gc`` used to remove containers without telling the LPC, so once a
+    restore had warmed it, a long-lived vault sent reads of copied-forward
+    chunks to a container that no longer existed: ``KeyError: 'container
+    0 not in repository'`` in process, and through ``repro serve`` a
+    ``RemoteError`` after the daemon fell through to its replica store.  A
+    freshly opened vault restored the same run fine.
     """
 
     @staticmethod

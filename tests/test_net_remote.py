@@ -153,8 +153,6 @@ class TestRemoteBackupRestore:
         blob = bytearray(path.read_bytes())
         blob[100] ^= 0xFF
         path.write_bytes(bytes(blob))
-        # Drop the cached image so the deep verify re-reads the rotted disk.
-        vault.repository.invalidate(cid)
         verdict = client.verify(deep=True)
         assert verdict["ok"] is False
         assert verdict["finding"]

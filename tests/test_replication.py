@@ -358,7 +358,6 @@ class TestFailoverReads:
         assert replicator.drain(timeout=10.0)
         victim = vault_a.repository.container_ids()[0]
         vault_a.fs.unlink(vault_a.repository.path_for(victim))
-        vault_a.repository.invalidate(victim)
         reader = vault_a.reader(
             [fp for e in run.files for fp in e.fingerprints],
             fallbacks=[("b", WireSource.dial(server_b.host, server_b.port, "b"))],
@@ -477,7 +476,6 @@ class TestScrubHealsFromReplicas:
         at = bytes(blob).index(payload)
         blob[at] ^= 0xFF
         vault_a.fs.write_file(path, bytes(blob))
-        vault_a.repository.invalidate(cid)
         peer = WireSource.dial(server_b.host, server_b.port, "b")
         try:
             report = Scrubber(vault_a, peers=[("b", peer)]).run(repair=True)

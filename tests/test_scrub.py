@@ -81,7 +81,6 @@ class TestDetection:
         vault = open_vault(tmp_path)
         vault.backup("docs", [make_tree(tmp_path / "src")])
         cid, fp = flip_container_data_byte(vault.root)
-        vault.repository.invalidate(cid)
         report = Scrubber(vault).run()
         assert report.corrupt_found == 1 and report.unrepaired == 1
         finding = report.findings[0]
@@ -99,7 +98,6 @@ class TestDetection:
         vault = open_vault(tmp_path)
         vault.backup("docs", [make_tree(tmp_path / "src")])
         cid = flip_container_magic(vault.root)
-        vault.repository.invalidate(cid)
         report = Scrubber(vault).run()
         assert report.corrupt_found == 1 and report.unrepaired == 1
         finding = report.findings[0]
@@ -190,7 +188,6 @@ class TestRepair:
         vault = open_vault(tmp_path)
         run = vault.backup("docs", [src])
         cid, fp = flip_container_data_byte(vault.root)
-        vault.repository.invalidate(cid)
         # The chunk log still holds the <F, D(F)> group (as it would if
         # rot struck between dedup-1 and the log's clear).
         intact = dict(before)  # find the damaged chunk's true payload
@@ -200,7 +197,6 @@ class TestRepair:
         replica.backup("docs", [src])
         payload = replica.chunk_store.read_chunk(fp)
         vault.tpds.chunk_log.append(fp, data=payload)
-        vault.repository.invalidate(cid)
 
         report = Scrubber(vault).run(repair=True)
         assert report.corrupt_found == 1 and report.repaired == 1
@@ -217,7 +213,6 @@ class TestRepair:
         vault = open_vault(tmp_path)
         run = vault.backup("docs", [src])
         cid = flip_container_magic(vault.root)
-        vault.repository.invalidate(cid)
         # The chunk log still holds the container's <F, D(F)> groups (as
         # it would if rot struck between dedup-1 and the log's clear);
         # their payloads come from a clean replica of the same data.
@@ -246,7 +241,6 @@ class TestRepair:
         replica.backup("docs", [src])
 
         cid, _fp = flip_container_data_byte(vault.root)
-        vault.repository.invalidate(cid)
         # Any object with read_chunk(fp) serves as a repair peer; the
         # local ChunkStore of a replica vault is exactly that shape.
         report = Scrubber(vault, peers=[("replica", replica.chunk_store)]).run(repair=True)
@@ -260,7 +254,6 @@ class TestRepair:
         vault = open_vault(tmp_path)
         vault.backup("docs", [src])
         cid, fp = flip_container_data_byte(vault.root)
-        vault.repository.invalidate(cid)
         report = Scrubber(vault).run(repair=True)  # no log copy, no peers
         assert report.unrepaired == 1
         assert report.degraded_files
