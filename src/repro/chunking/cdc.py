@@ -59,6 +59,8 @@ class AnchorCutter:
     def __init__(
         self, min_size: int, max_size: int, main_bits: int, backup_bits: Optional[int] = None
     ) -> None:
+        if backup_bits is not None and not 1 <= backup_bits < main_bits:
+            raise ValueError("backup divisor must be easier than the main divisor")
         self.min_size = min_size
         self.max_size = max_size
         self._scanner = WindowScanner(main_bits)
@@ -67,8 +69,8 @@ class AnchorCutter:
         self._main_mask = scalar(main_mask)
         self._main_magic = scalar(ANCHOR_MAGIC & main_mask)
         # Both magics come from one constant and the backup mask is the
-        # shorter, so every main anchor is also a backup anchor: one
-        # comparison per block finds the candidates of both kinds.
+        # shorter (checked above), so every main anchor is also a backup
+        # anchor: one comparison per block finds the candidates of both kinds.
         easy_mask = main_mask if backup_bits is None else (1 << backup_bits) - 1
         self._easy_mask = scalar(easy_mask)
         self._easy_magic = scalar(ANCHOR_MAGIC & easy_mask)

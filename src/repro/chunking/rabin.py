@@ -11,15 +11,17 @@ two properties of interest here:
 
 The linearity gives two interchangeable implementations: an incremental
 rolling one (:class:`RabinFingerprint`, the byte-at-a-time ground truth) and
-a vectorised one (:class:`WindowScanner`) that XORs 48 per-position table
+a vectorised one (:class:`WindowScanner`) that XORs per-position table
 gathers with NumPy.  Linearity holds bit by bit, so the low ``b`` bits of a
 fingerprint are the XOR of the table entries' low ``b`` bits: the scanner
-keeps tables and accumulators only as wide as its caller's mask (``uint16``
-for the paper's 13-bit anchor test) and works through the input in fixed
-blocks with a 47-byte overlap, so its scratch is O(block) whatever the input
-size.  :func:`window_fingerprints` is the same kernel at the full 53 bits.
-Both implementations produce bit-identical values and are cross-checked in
-the test suite.
+keeps only as many bits as its caller's mask needs (a ``uint16`` lane for the
+paper's 13-bit anchor test) and packs ``8 // itemsize`` consecutive windows
+into the lanes of one ``uint64`` word, so each gather serves four windows at
+once.  It works through the input in fixed blocks with a 47-byte overlap, so
+its scratch is O(block) whatever the input size.
+:func:`window_fingerprints` is the same kernel at the full 53 bits (one lane
+per word).  Both implementations produce bit-identical values and are
+cross-checked in the test suite.
 
 We use LBFS's degree-53 irreducible polynomial and its 48-byte window.
 """
@@ -27,6 +29,7 @@ We use LBFS's degree-53 irreducible polynomial and its 48-byte window.
 from __future__ import annotations
 
 import functools
+import sys
 from typing import Optional, Tuple
 
 import numpy as np
@@ -134,40 +137,68 @@ class RabinFingerprint:
         return self._value
 
 
-#: Bytes fingerprinted per kernel pass.  Large enough to amortise the 96
-#: NumPy calls of a pass, small enough that the scratch stays in cache.
+#: Bytes fingerprinted per kernel pass: large enough to amortise the pass's
+#: two NumPy calls per packed table, small enough that the scratch
+#: (DESIGN.md §3.1) stays in cache.
 SCAN_BLOCK = 32 * 1024
 
 _UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 @functools.lru_cache(maxsize=len(_UNSIGNED))
-def _narrow_tables(dtype: type) -> Tuple[np.ndarray, ...]:
-    """The position tables truncated to ``dtype``: astype keeps the low bits,
-    which by linearity are all a caller testing only low bits needs."""
-    return tuple(_POSITION_TABLES.astype(dtype, copy=False))
+def _packed_tables(dtype: type) -> Tuple[np.ndarray, ...]:
+    """Position tables for ``lanes = 8 // itemsize`` windows per ``uint64``.
+
+    Word ``g`` of a block holds the fingerprints of windows ``g*lanes + r``,
+    ``r < lanes``, each truncated to ``dtype`` (the low bits, which by
+    linearity are all a caller testing only low bits needs) and placed where
+    element ``r`` of ``word.view(dtype)`` lies in host byte order.  The byte
+    at offset ``k`` from the word's first window feeds lane ``r`` through
+    position table ``k - r``, so ``P[k][b]`` XORs those entries, each shifted
+    into its lane: ``48 + lanes - 1`` tables.  Built on first use, never at
+    import.
+    """
+    lane_bits = 8 * np.dtype(dtype).itemsize
+    lanes = 64 // lane_bits
+    low = _POSITION_TABLES & np.uint64((1 << lane_bits) - 1)
+    packed = np.zeros((RABIN_WINDOW_SIZE + lanes - 1, 256), dtype=np.uint64)
+    for r in range(lanes):
+        slot = r if sys.byteorder == "little" else lanes - 1 - r
+        packed[r : r + RABIN_WINDOW_SIZE] ^= low << np.uint64(lane_bits * slot)
+    return tuple(packed)
 
 
 class WindowScanner:
     """Fingerprints of every window of a byte stream, one block at a time.
 
     ``bits`` is how many low-order fingerprint bits the caller will read; the
-    scanner works in the narrowest unsigned dtype that holds them.  Blocks
-    are consecutive pieces of one stream: the last 47 bytes of each are
-    carried over, so windows straddling a seam come out exactly as if the
-    stream had been fingerprinted in one piece.
+    scanner works in the narrowest unsigned dtype that holds them, packed
+    ``8 // itemsize`` windows to a ``uint64`` word.  Blocks are consecutive
+    pieces of one stream: the last 47 bytes of each are carried over, so
+    windows straddling a seam come out exactly as if the stream had been
+    fingerprinted in one piece.
     """
 
     def __init__(self, bits: int = RABIN_DEGREE) -> None:
         if not 1 <= bits <= RABIN_DEGREE:
             raise ValueError("bits out of range")
         self.dtype = next(d for d in _UNSIGNED if bits <= 8 * np.dtype(d).itemsize)
-        self._tables = _narrow_tables(self.dtype)
+        self._lanes = lanes = 8 // np.dtype(self.dtype).itemsize
+        self._tables = _packed_tables(self.dtype)
+        # Gather k reads a phase from word k // lanes on, so a phase holds
+        # a block's words plus the last table's offset.
+        self._overhang = (len(self._tables) - 1) // lanes
+        words = -(-SCAN_BLOCK // lanes)
+        span = words + self._overhang
         # The previous block's last 47 bytes (zeros before the stream
-        # starts) followed by the current block.
-        self._bytes = np.zeros(SCAN_BLOCK + RABIN_WINDOW_SIZE - 1, dtype=np.uint8)
-        self._acc = np.empty(SCAN_BLOCK, dtype=self.dtype)
-        self._tmp = np.empty(SCAN_BLOCK, dtype=self.dtype)
+        # starts), then the current block, then slack up to the end of the
+        # last phase word: the slack only reaches windows past the block.
+        self._bytes = np.zeros(span * lanes, dtype=np.uint8)
+        # phases[p][i] = bytes[i*lanes + p], already np.intp so that no
+        # gather converts its indices.
+        self._phases = np.empty((lanes, span), dtype=np.intp)
+        self._acc = np.empty(words, dtype=np.uint64)
+        self._tmp = np.empty(words, dtype=np.uint64)
 
     def scan(self, block: np.ndarray) -> np.ndarray:
         """Fingerprint the next ``len(block) <= SCAN_BLOCK`` bytes.
@@ -178,19 +209,26 @@ class WindowScanner:
         first 47 values of a stream cover a window padded with zero bytes.
         The array is scratch, overwritten by the next call.
         """
-        w = RABIN_WINDOW_SIZE
+        w, lanes = RABIN_WINDOW_SIZE, self._lanes
         m = len(block)
-        stream, tables = self._bytes, self._tables
+        words = -(-m // lanes)
+        span = words + self._overhang
+        stream = self._bytes
         stream[w - 1 : w - 1 + m] = block
-        acc, tmp = self._acc[:m], self._tmp[:m]
+        phases = self._phases[:, :span]
+        np.copyto(phases, stream[: span * lanes].reshape(span, lanes).T)
+        acc, tmp = self._acc[:words], self._tmp[:words]
         # Bytes are always valid indices, and any mode but "raise" lets take
-        # write straight into ``out`` instead of a checked temporary.
-        np.take(tables[0], stream[:m], out=acc, mode="clip")
-        for i in range(1, w):
-            np.take(tables[i], stream[i : i + m], out=tmp, mode="clip")
+        # write straight into ``out`` instead of a checked temporary.  The
+        # method skips ``np.take``'s Python wrapper, ~10% of a block.
+        tables = self._tables
+        tables[0].take(phases[0, :words], out=acc, mode="clip")
+        for k in range(1, len(tables)):
+            q, p = divmod(k, lanes)
+            tables[k].take(phases[p, q : q + words], out=tmp, mode="clip")
             np.bitwise_xor(acc, tmp, out=acc)
         stream[: w - 1] = stream[m : m + w - 1]
-        return acc
+        return acc.view(self.dtype)[:m]
 
 
 def window_fingerprints(

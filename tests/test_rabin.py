@@ -1,5 +1,11 @@
 """Tests for the Rabin rolling fingerprint and its vectorised twin."""
 
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +14,11 @@ from repro.chunking.rabin import (
     RABIN_DEGREE,
     RABIN_POLY,
     RABIN_WINDOW_SIZE,
+    SCAN_BLOCK,
     RabinFingerprint,
     WindowScanner,
     _POSITION_TABLES,
+    _packed_tables,
     _poly_mod,
     window_fingerprints,
 )
@@ -164,3 +172,72 @@ class TestVectorisedAgreement:
             at += size
         whole = window_fingerprints(data.tobytes(), bits=13)
         np.testing.assert_array_equal(np.concatenate(pieces)[RABIN_WINDOW_SIZE - 1 :], whole)
+
+
+#: A stream cut into pieces that straddle the 47-byte carry (shorter than,
+#: equal to and just over it), take every residue modulo 8 lanes, fill a
+#: whole block and one byte short of it, and end on a short block.
+LANE_PIECES = [3, 46, 47, 48, *range(100, 108), SCAN_BLOCK, SCAN_BLOCK - 1, 13]
+
+
+@functools.lru_cache(maxsize=1)
+def lane_stream():
+    """The stream, and the rolling reference for the window ending at each
+    of its bytes, behind the scanner's 47 zero bytes of start-up carry."""
+    data = np.random.default_rng(34).integers(0, 256, sum(LANE_PIECES), dtype=np.uint8)
+    roller = RabinFingerprint()
+    roller.update(bytes(RABIN_WINDOW_SIZE - 1))
+    return data, [roller.roll(b) for b in data.tolist()]
+
+
+class TestPackedLanes:
+    """Each ``uint64`` word of the kernel carries ``8 // itemsize``
+    consecutive windows, lane ``r`` of word ``g`` being window
+    ``g * lanes + r`` where element ``r`` of the word's dtype view lies in
+    host byte order."""
+
+    @pytest.mark.parametrize(
+        "bits, lanes",
+        [(8, 8), (9, 4), (13, 4), (16, 4), (17, 2), (32, 2), (33, 1), (53, 1)],
+    )
+    def test_every_lane_is_the_rolling_reference(self, bits, lanes):
+        data, reference = lane_stream()
+        scanner = WindowScanner(bits)
+        lane_bits = 64 // lanes
+        kept = (1 << lane_bits) - 1
+        assert 8 * np.dtype(scanner.dtype).itemsize == lane_bits
+        at = 0
+        for m in LANE_PIECES:
+            fps = scanner.scan(data[at : at + m])
+            expected = [v & kept for v in reference[at : at + m]]
+            assert list(map(int, fps)) == expected, m
+            # The same values read out of the packed words with shifts and
+            # masks: a layout that only round-trips through .view() fails.
+            words = scanner._acc[: -(-m // lanes)].tolist()
+            for r in range(lanes):
+                slot = r if sys.byteorder == "little" else lanes - 1 - r
+                lane = [(word >> (lane_bits * slot)) & kept for word in words]
+                assert lane[: len(expected[r::lanes])] == expected[r::lanes], (m, r)
+            at += m
+
+    @pytest.mark.parametrize("dtype, lanes", [(np.uint8, 8), (np.uint16, 4), (np.uint32, 2), (np.uint64, 1)])
+    def test_one_table_per_byte_offset_of_a_word(self, dtype, lanes):
+        tables = _packed_tables(dtype)
+        assert len(tables) == RABIN_WINDOW_SIZE + lanes - 1
+        assert all(t.shape == (256,) and t.dtype == np.uint64 for t in tables)
+        if dtype is np.uint64:  # one lane: the full-width position tables
+            np.testing.assert_array_equal(np.stack(tables), _POSITION_TABLES)
+
+    def test_importing_the_cli_builds_no_packed_table(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = (
+            "import repro.cli\n"
+            "from repro.chunking import rabin\n"
+            "print(rabin._packed_tables.cache_info().currsize)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert out.stdout.split() == ["0"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chunking import ContentDefinedChunker, TTTDChunker
-from repro.chunking.cdc import ANCHOR_MAGIC
+from repro.chunking.cdc import ANCHOR_MAGIC, AnchorCutter
 from repro.chunking.rabin import SCAN_BLOCK, RabinFingerprint
 from tests.test_cdc import cut_digest
 
@@ -73,6 +73,23 @@ class TestParameters:
             small_tttd(backup_bits=0)
         with pytest.raises(ValueError):
             small_tttd(min_size=16)
+
+    @pytest.mark.parametrize("backup_bits", [0, 13, 15, 17])
+    def test_cutter_rejects_a_backup_divisor_no_easier_than_main(self, backup_bits):
+        # One comparison per block finds both kinds of anchor only while
+        # every main anchor is also a backup anchor.  Unchecked, a harder
+        # backup mask drops most main anchors silently (15 bits: 33 chunks
+        # of a random MiB instead of 100), and one wider than the kernel's
+        # dtype (17 bits at uint16) overflows.
+        data = random_data(1 << 20, seed=3)
+        with pytest.raises(ValueError):
+            AnchorCutter.cut_buffer(data, 2048, 65536, 13, backup_bits)
+
+    def test_cutter_accepts_the_easiest_and_hardest_backup_divisors(self):
+        data = random_data(3000, seed=4)
+        for backup_bits in (1, 7):
+            c = small_tttd(backup_bits=backup_bits)
+            assert AnchorCutter.cut_buffer(data, 64, 1024, 8, backup_bits) == tttd_reference(c, data)
 
 
 class TestCutPoints:
