@@ -23,7 +23,7 @@
                             --node a=host:7070 --node b=host:7071
     python -m repro serve   --vault ~/.debar --port 7072 --node-name c \\
                             --advertise host:7700
-    python -m repro backup  --route host:7700 --job homedirs /data/home
+    python -m repro backup  --connect host:7700 --job homedirs /data/home
     python -m repro cluster-status --connect host:7700 --json cluster.json
     python -m repro rebalance --route host:7700
     python -m repro serve   --vault /srv/archive --port 7080 --archive \\
@@ -45,6 +45,9 @@ persist the cumulative counters to ``<vault>/telemetry.json`` so a later
 (DESIGN.md §9); every data command except ``audit`` and ``recover-index``
 then also accepts ``--connect host:port`` in place of ``--vault`` and runs
 against the daemon through :class:`repro.net.client.RemoteBackupClient`.
+A ``repro route`` front door speaks the same protocol, so a cluster
+client passes the router's address to ``--connect`` and the router
+proxies every frame to the node the placement ring picks (DESIGN.md §14).
 
 Exit codes are part of the interface::
 
@@ -71,7 +74,7 @@ import json
 import signal
 import sys
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 from typing import List, Optional
@@ -139,16 +142,12 @@ def _client_kwargs(args) -> dict:
     }
 
 
-@contextmanager
-def _router(args):
-    """``--route``: the front door's control-plane client, plus the kwargs
-    every direct node client it hands out is built with."""
-    from repro.frontdoor.client import RouterClient
+def _net_client(address: str, args):
+    """A bare protocol connection for the status and control-plane
+    commands, built like every other remote client of this invocation."""
+    from repro.net.client import NetClient
 
-    host, port = _parse_connect(args.route)
-    kwargs = _client_kwargs(args)
-    with RouterClient(host, port, retry=kwargs["retry"]) as rc:
-        yield rc, kwargs
+    return NetClient(*_parse_connect(address), **_client_kwargs(args))
 
 
 def _save_json(path, doc, what: str, sort_keys: bool = False) -> None:
@@ -175,33 +174,7 @@ def _open(args):
     runs/stats/gc/verify/forget), so the commands below stay
     shape-agnostic except where return types genuinely differ.
     """
-    if getattr(args, "route", None):
-        # Redirect mode: ask the router where the work belongs, then talk
-        # to that node directly.  Commands without a placement key (a
-        # job-less `list`, `stats`) fall back to the router's proxy path —
-        # the router speaks the full protocol, so its own address works as
-        # a server address.
-        with _router(args) as (rc, kwargs):
-            client = None
-            try:
-                if getattr(args, "run", None) is not None:
-                    # Run-keyed commands (restore/forget) locate by
-                    # (job, run id) — run ids are per-vault and collide.
-                    client = rc.client_for_run(
-                        args.run, job=getattr(args, "job", None), **kwargs
-                    )
-                elif getattr(args, "job", None):
-                    client = rc.client_for_job(args.job, **kwargs)
-            except (KeyError, ConnectionError):
-                # No live owner to redirect to (the node that recorded
-                # the run may be down) — the router's proxy path still
-                # reaches the replica set.
-                client = None
-            if client is None:
-                client = RemoteBackupClient(rc.net.host, rc.net.port, **kwargs)
-        with client:
-            yield client
-    elif getattr(args, "connect", None):
+    if getattr(args, "connect", None):
         host, port = _parse_connect(args.connect)
         with RemoteBackupClient(host, port, **_client_kwargs(args)) as client:
             yield client
@@ -323,29 +296,16 @@ def _restore_as_of(args, registry, tracer) -> int:
     Every target applies one rule (``restore_as_of``): the live catalog
     first when it still records the run (the same bytes, without folding
     a delta chain), then its archived chain — ``<vault>/archive`` locally,
-    ``ARCHIVE_STATUS``/``DELTA_FETCH`` over the wire.  ``--route`` only
-    differs in *which* node is asked: the one recording the run, else the
-    live node whose archive retains it.  The archive path works with the
-    origin vault destroyed, which is the disaster-recovery story.
+    ``ARCHIVE_STATUS``/``DELTA_FETCH`` over the wire.  Through a
+    ``repro route`` front door the router merges every node's archive
+    status and fails ``DELTA_FETCH`` over across the live nodes, so the
+    archive path works with the origin vault destroyed, which is the
+    disaster-recovery story.
     """
-    job = getattr(args, "job", None)
-    origin = getattr(args, "origin", None)
-    with ExitStack() as stack:
-        if getattr(args, "route", None):
-            rc, kwargs = stack.enter_context(_router(args))
-            try:
-                target = rc.client_for_run(args.as_of, job=job, **kwargs)
-            except (KeyError, ConnectionError):
-                # Origin gone: sweep the live nodes' archives.
-                target, origin, job = rc.locate_archive_point(
-                    args.as_of, job=job, origin=origin, **kwargs
-                )
-            stack.enter_context(target)
-        else:
-            target = stack.enter_context(_open(args))
+    with _open(args) as target:
         paths = target.restore_as_of(
-            args.as_of, args.dest,
-            strip_prefix=args.strip_prefix, job=job, origin=origin,
+            args.as_of, args.dest, strip_prefix=args.strip_prefix,
+            job=getattr(args, "job", None), origin=getattr(args, "origin", None),
         )
     print(
         f"restored {len(paths)} files to {args.dest} (as of run {args.as_of})"
@@ -775,14 +735,8 @@ def _status_command(args, what: str, msg_type: int, state_file: str, inbound) ->
     the wire, or the same document assembled from a local vault — the
     ``inbound(vault_dir)`` inventory plus the outbound shipper's state file.
     """
-    address = getattr(args, "connect", None) or getattr(args, "route", None)
-    if address:
-        from repro.net.client import NetClient
-
-        host, port = _parse_connect(address)
-        with NetClient(
-            host, port, client_name=args.command, retry=_retry_from(args)
-        ) as net:
+    if args.connect:
+        with _net_client(args.connect, args) as net:
             status = net.call_json(msg_type, {})
     else:
         if _no_vault(args):
@@ -886,11 +840,10 @@ def cmd_route(args) -> int:
 
 def cmd_cluster_status(args) -> int:
     """The router's view: membership, health, epoch, rebalance progress."""
-    from repro.frontdoor.client import RouterClient
+    from repro.net import messages as m
 
-    host, port = _parse_connect(args.connect)
-    with RouterClient(host, port, retry=_retry_from(args)) as rc:
-        status = rc.cluster_status()
+    with _net_client(args.connect, args) as net:
+        status = net.call_json(m.CLUSTER_STATUS, {})
     print(f"epoch {status['epoch']}  rf={status['replication_factor']}")
     for node in status["nodes"]:
         marker = "" if node["state"] == "up" else f"  ({node['fails']} failed probes)"
@@ -910,13 +863,11 @@ def cmd_cluster_status(args) -> int:
 
 def cmd_rebalance(args) -> int:
     """Plan (via the router) and execute the pending container moves."""
-    from repro.frontdoor.client import RouterClient
     from repro.frontdoor.rebalance import execute_plan
+    from repro.net import messages as m
 
-    host, port = _parse_connect(args.route)
-    retry = _retry_from(args)
-    with RouterClient(host, port, retry=retry) as rc:
-        plan = rc.rebalance_plan()
+    with _net_client(args.route, args) as net:
+        plan = net.call_json(m.REBALANCE_PLAN, {})
         addresses = plan.pop("addresses", {})
         total = len(plan["steps"])
         pending = sum(1 for s in plan["steps"] if not s["done"])
@@ -933,8 +884,9 @@ def cmd_rebalance(args) -> int:
                 )
             return EXIT_OK
         report = execute_plan(
-            plan, addresses, ack=rc.rebalance_ack, retry=retry,
-            limit=args.limit,
+            plan, addresses,
+            ack=lambda step_id: net.call_json(m.REBALANCE_ACK, {"id": step_id}),
+            retry=net.retry, limit=args.limit,
         )
     print(
         f"executed {report['executed']} step(s); "
@@ -965,8 +917,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "--connect",
                 default=None,
                 metavar="HOST:PORT",
-                help="run against a `repro serve` daemon instead of a "
-                "local vault (exactly one of --vault/--connect)",
+                help="run against a `repro serve` daemon or a `repro "
+                "route` front door instead of a local vault (exactly one "
+                "of --vault/--connect)",
             )
             p.add_argument(
                 "--client",
@@ -979,13 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--token",
                 default=None,
                 help="tenant token for a daemon running with --tenant",
-            )
-            p.add_argument(
-                "--route",
-                default=None,
-                metavar="HOST:PORT",
-                help="route through a `repro route` front door: look the "
-                "owning node up and talk to it directly (redirect mode)",
             )
             p.add_argument(
                 "--connect-timeout",
@@ -1401,18 +1347,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "vault") and hasattr(args, "connect"):
-        chosen = sum(
-            1
-            for value in (
-                args.vault, args.connect, getattr(args, "route", None)
-            )
-            if value
-        )
-        if chosen != 1:
+        if bool(args.vault) == bool(args.connect):
             # parser.error prints usage and exits EXIT_USAGE (2).
-            parser.error(
-                "exactly one of --vault, --connect or --route is required"
-            )
+            parser.error("exactly one of --vault or --connect is required")
     try:
         return args.func(args)
     except CorruptionError as exc:

@@ -333,41 +333,6 @@ class DiskIndex:
         self._entry_count += len(bucket.entries) - self._counts[bucket.number]
         self._counts[bucket.number] = len(bucket.entries)
 
-    def read_bucket_range(self, start: int, count: int) -> List[Bucket]:
-        """Sequentially read ``count`` consecutive buckets (the SIL primitive).
-
-        One call models one large sequential disk read of
-        ``count * bucket_bytes`` bytes; cost accounting is the caller's job.
-        """
-        self._check_bucket_number(start)
-        if count < 0 or start + count > self.n_buckets:
-            raise ValueError("bucket range out of bounds")
-        blob = self._store.read(start * self.bucket_bytes, count * self.bucket_bytes)
-        out = []
-        for i in range(count):
-            slot = blob[i * self.bucket_bytes : (i + 1) * self.bucket_bytes]
-            out.append(Bucket(start + i, self._unpack(start + i, slot), self.bucket_capacity))
-        return out
-
-    def write_bucket_range(self, buckets: List[Bucket]) -> None:
-        """Sequentially write consecutive buckets back (the SIU primitive)."""
-        if not buckets:
-            return
-        start = buckets[0].number
-        for i, b in enumerate(buckets):
-            if b.number != start + i:
-                raise ValueError("buckets must be consecutive")
-            if len(b.entries) > self.bucket_capacity:
-                raise ValueError("bucket over capacity")
-        blob = b"".join(
-            pack_bucket(b.entries, self.bucket_bytes, checksum=self.checksummed)
-            for b in buckets
-        )
-        self._store.write(start * self.bucket_bytes, blob)
-        for b in buckets:
-            self._entry_count += len(b.entries) - self._counts[b.number]
-            self._counts[b.number] = len(b.entries)
-
     def _check_bucket_number(self, k: int) -> None:
         if not 0 <= k < self.n_buckets:
             raise ValueError(f"bucket {k} out of range [0, {self.n_buckets})")

@@ -13,17 +13,16 @@ standalone daemons into one addressable cluster:
   connects; K consecutive failures mark a node down, one success marks
   it back up.
 - :mod:`repro.frontdoor.router` — ``repro route``: an asyncio daemon on
-  the same ``DBAR`` framing that *redirects* smart clients
-  (``ROUTE_LOOKUP``/``ROUTE_HINT``) or *proxies* frames for dumb ones,
-  pinning backup sessions to the ring's owner and failing reads over
-  across the live replica set (down to per-fingerprint reassembly and
-  mirrored-catalog synthesis when an origin is dead).
+  the same ``DBAR`` framing that *proxies* every client's frames (a
+  client passes the router's address to ``--connect`` as if it were one
+  ``repro serve`` node), pinning backup sessions to the ring's owner and
+  failing reads over across the live replica set (down to
+  per-fingerprint reassembly and mirrored-catalog synthesis when an
+  origin is dead).
 - :mod:`repro.frontdoor.rebalance` — the ring-diff move plan after a
   join/leave, executed over the existing ``CONTAINER_FETCH``/
   ``CONTAINER_PUSH`` verbs, persisted and acknowledged step by step so
   a crashed mover resumes idempotently.
-- :mod:`repro.frontdoor.client` — :class:`RouterClient`, the smart
-  client: cache the ring, talk to nodes directly.
 
 Everything the router does is measured under ``router.*`` (DESIGN.md
 §8.2): per-type request/proxy counters and latency histograms,
@@ -31,7 +30,6 @@ Everything the router does is measured under ``router.*`` (DESIGN.md
 ring epoch, and rebalance step states.
 """
 
-from repro.frontdoor.client import RouterClient
 from repro.frontdoor.health import HealthMonitor
 from repro.frontdoor.membership import ClusterMembership, MembershipError
 from repro.frontdoor.rebalance import (
@@ -49,7 +47,6 @@ __all__ = [
     "MembershipError",
     "RebalancePlanner",
     "RouteError",
-    "RouterClient",
     "build_plan",
     "collect_inventories",
     "execute_plan",

@@ -6,8 +6,7 @@ an **epoch** counter that advances only when the *set of members*
 changes.  The split matters:
 
 * join/leave change where keys live — the :class:`PlacementRing` is
-  rebuilt, the epoch bumps, and cached rings on smart clients become
-  stale (they find out through ``ROUTE_HINT``);
+  rebuilt and the epoch bumps;
 * mark-down/mark-up are health facts, not placement facts — a node that
   misses K probes stops receiving routed traffic, but its keys do *not*
   move (its replica set keeps serving them), so the epoch stays put and
@@ -230,25 +229,4 @@ class ClusterMembership:
                 "nodes": [
                     self._nodes[name].to_doc() for name in sorted(self._nodes)
                 ],
-            }
-
-    def route_doc(self) -> dict:
-        """The ``ROUTE_INFO`` body a smart client caches: the ring inputs
-        (rebuilt client-side — determinism is the contract) plus the
-        address book and health states."""
-        with self._lock:
-            names = sorted(self._nodes)
-            return {
-                "epoch": self.epoch,
-                "ring": {
-                    "nodes": names,
-                    "replication_factor": min(
-                        self.replication_factor, max(len(names), 1)
-                    ),
-                    "vnodes": self.vnodes,
-                },
-                "nodes": {
-                    n: {"address": e.address, "state": e.state}
-                    for n, e in self._nodes.items()
-                },
             }

@@ -4,17 +4,11 @@
 frame protocol as ``repro serve`` (on the same
 :class:`~repro.net.aioserver.AsyncFrameServer` skeleton), but it owns no
 vault.  It owns the
-:class:`~repro.frontdoor.membership.ClusterMembership` table and serves
-two kinds of clients:
-
-* **smart clients** ask ``ROUTE_LOOKUP`` for the ring inputs + address
-  book, rebuild the :class:`PlacementRing` locally (determinism is the
-  contract), and talk to nodes directly — the router then costs one
-  small RPC per topology change, validated cheaply via ``ROUTE_HINT``;
-* **dumb clients** connect as if the router were a ``repro serve`` node
-  and every data frame is **proxied**: forwarded verbatim (same request
-  id, so the nodes' idempotency caches keep protecting retries) to the
-  node the ring picks.
+:class:`~repro.frontdoor.membership.ClusterMembership` table.  Clients
+connect as if the router were a ``repro serve`` node (``--connect
+ROUTER``) and every data frame is **proxied**: forwarded verbatim (same
+request id, so the nodes' idempotency caches keep protecting retries)
+to the node the ring picks.
 
 Routing keys: a backup session is pinned to ``job:<name>`` at
 ``SESSION_BEGIN`` (the session id in ``SESSION_OK`` keys the rest of the
@@ -267,9 +261,6 @@ class FrontDoorRouter(AsyncFrameServer):
             "router.proxy_latency",
             "proxied round-trip seconds, by message type",
         )
-        self._t_lookups = registry.counter(
-            "router.lookups", "ROUTE_LOOKUP ring handouts to smart clients"
-        ).labels()
         self._t_failovers = registry.counter(
             "router.failovers",
             "proxied reads answered by a node other than the first choice",
@@ -370,24 +361,6 @@ class FrontDoorRouter(AsyncFrameServer):
 
     def _on_ping(self, conn: _Connection, frame: Frame) -> Frame:
         return Frame(m.PONG, frame.request_id, frame.payload)
-
-    def _on_route_lookup(self, conn: _Connection, frame: Frame) -> Frame:
-        self._t_lookups.inc()
-        return Frame(
-            m.ROUTE_INFO, frame.request_id, m.encode_json(self.membership.route_doc())
-        )
-
-    def _on_route_hint(self, conn: _Connection, frame: Frame) -> Frame:
-        doc = m.decode_json(frame.payload)
-        seen = int(doc.get("epoch", -1))
-        return Frame(
-            m.ROUTE_HINT_OK,
-            frame.request_id,
-            m.encode_json({
-                "epoch": self.membership.epoch,
-                "stale": seen != self.membership.epoch,
-            }),
-        )
 
     def _on_node_join(self, conn: _Connection, frame: Frame) -> Frame:
         doc = m.decode_json(frame.payload)
@@ -921,8 +894,6 @@ class FrontDoorRouter(AsyncFrameServer):
 _LOCAL_HANDLERS = {
     m.HELLO: FrontDoorRouter._on_hello,
     m.PING: FrontDoorRouter._on_ping,
-    m.ROUTE_LOOKUP: FrontDoorRouter._on_route_lookup,
-    m.ROUTE_HINT: FrontDoorRouter._on_route_hint,
     m.NODE_JOIN: FrontDoorRouter._on_node_join,
     m.NODE_LEAVE: FrontDoorRouter._on_node_leave,
     m.CLUSTER_STATUS: FrontDoorRouter._on_cluster_status,

@@ -88,13 +88,9 @@ CATALOG_OK = 0x47
 CATALOG_FETCH = 0x48
 CATALOG_DATA = 0x49
 
-# Front door (DESIGN.md §14): cluster membership, routing lookups, and
-# the rebalancing protocol.  All JSON payloads — routing traffic is
-# control-plane small; the bulk path stays on the messages above.
-ROUTE_LOOKUP = 0x50
-ROUTE_INFO = 0x51
-ROUTE_HINT = 0x52
-ROUTE_HINT_OK = 0x53
+# Front door (DESIGN.md §14): cluster membership and the rebalancing
+# protocol.  All JSON payloads — control-plane small; the bulk path stays
+# on the messages above.  0x50-0x53 are retired; do not reuse them.
 NODE_JOIN = 0x54
 NODE_JOIN_OK = 0x55
 NODE_LEAVE = 0x56
@@ -143,8 +139,6 @@ RESPONSE_OF: Dict[int, int] = {
     CONTAINER_FETCH: CONTAINER_IMAGE,
     CATALOG_PUSH: CATALOG_OK,
     CATALOG_FETCH: CATALOG_DATA,
-    ROUTE_LOOKUP: ROUTE_INFO,
-    ROUTE_HINT: ROUTE_HINT_OK,
     NODE_JOIN: NODE_JOIN_OK,
     NODE_LEAVE: NODE_LEAVE_OK,
     CLUSTER_STATUS: CLUSTER_STATUS_OK,
@@ -201,10 +195,6 @@ MSG_NAMES: Dict[int, str] = {
     CATALOG_OK: "catalog_ok",
     CATALOG_FETCH: "catalog_fetch",
     CATALOG_DATA: "catalog_data",
-    ROUTE_LOOKUP: "route_lookup",
-    ROUTE_INFO: "route_info",
-    ROUTE_HINT: "route_hint",
-    ROUTE_HINT_OK: "route_hint_ok",
     NODE_JOIN: "node_join",
     NODE_JOIN_OK: "node_join_ok",
     NODE_LEAVE: "node_leave",

@@ -506,9 +506,13 @@ class VaultProtocolServer(AsyncFrameServer):
         chunks, _ = m.decode_chunk_batch(payload, offset)
         with self.vault_lock:
             session = self._session(session_id)
-            new_bytes = sum(
-                len(data) for fp, data in chunks if fp not in session.payloads
-            )
+            # A fingerprint repeated within the batch is buffered (and
+            # counted) once: the first copy wins.
+            fresh = {}
+            for fp, data in chunks:
+                if fp not in session.payloads and fp not in fresh:
+                    fresh[fp] = data
+            new_bytes = sum(map(len, fresh.values()))
             if (
                 new_bytes
                 and self._buffered_bytes + new_bytes > self.max_buffered_bytes
@@ -525,19 +529,15 @@ class VaultProtocolServer(AsyncFrameServer):
                         f"tenant {session.tenant!r} over quota "
                         f"({used + new_bytes} > {quota} buffered bytes)"
                     )
-            appended = 0
-            for fp, data in chunks:
-                if fp not in session.payloads:
-                    appended += 1
-                    session.buffered_bytes += len(data)
-                session.payloads[fp] = data
+            session.payloads.update(fresh)
+            session.buffered_bytes += new_bytes
             self._buffered_bytes += new_bytes
             if session.tenant is not None:
                 self._tenant_buffered[session.tenant] = (
                     self._tenant_buffered.get(session.tenant, 0) + new_bytes
                 )
             self._t_buffered.set(self._buffered_bytes)
-        return m.APPEND_OK, m.encode_json({"appended": appended, "received": len(chunks)})
+        return m.APPEND_OK, m.encode_json({"appended": len(fresh), "received": len(chunks)})
 
     def _on_meta_put(self, payload: bytes) -> Tuple[int, bytes]:
         session_id, offset = m._take_u32(payload, 0)

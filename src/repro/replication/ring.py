@@ -103,28 +103,6 @@ class PlacementRing:
             raise ValueError(f"prefix {prefix} does not fit {w} bits")
         return self.replicas(f"idx:{w}:{prefix}")
 
-    # -- serialization ---------------------------------------------------------
-    def to_doc(self) -> Dict[str, object]:
-        """A JSON-safe description another process rebuilds the ring from.
-
-        Only the inputs travel — the ring itself is recomputed, which is
-        the determinism guarantee made explicit: two processes holding the
-        same doc place every key identically.
-        """
-        return {
-            "nodes": list(self.nodes),
-            "replication_factor": self.replication_factor,
-            "vnodes": self.vnodes,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Dict[str, object]) -> "PlacementRing":
-        return cls(
-            list(doc["nodes"]),
-            replication_factor=int(doc.get("replication_factor", 2)),
-            vnodes=int(doc.get("vnodes", DEFAULT_VNODES)),
-        )
-
     def share(self, keys: Sequence[str]) -> Dict[str, int]:
         """How many of ``keys`` each node would own first — balance probe."""
         out = {name: 0 for name in self.nodes}

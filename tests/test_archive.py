@@ -580,8 +580,10 @@ class TestArchiveCluster:
             server_a.shutdown()
             server_a.server_close()
 
-    def test_restore_as_of_through_front_door(self, archive_cluster, tmp_path):
-        from repro.frontdoor.client import RouterClient
+    def test_restore_as_of_through_front_door(
+        self, archive_cluster, tmp_path, capsys
+    ):
+        from repro import cli
         from repro.frontdoor.membership import ClusterMembership
         from repro.frontdoor.router import FrontDoorRouter
 
@@ -599,24 +601,24 @@ class TestArchiveCluster:
         )
         thread = threading.Thread(target=router.serve_forever, daemon=True)
         thread.start()
+        router_addr = f"{router.server_address[0]}:{router.server_address[1]}"
         try:
-            # Redirect mode: the smart client sweeps the live archives.
-            with RouterClient(
-                router.server_address[0], router.server_address[1],
-                retry=FAST_RETRY,
-            ) as rc:
-                client, origin, job = rc.locate_archive_point(2)
-                assert (origin, job) == ("a", "homes")
-                try:
-                    dest = tmp_path / "routed2"
-                    client.restore_as_of(2, dest, job=job, origin=origin)
-                finally:
-                    client.close()
-                assert restored_map(dest) == originals[2]
-                with pytest.raises(KeyError):
-                    rc.locate_archive_point(99)
-            # Proxy mode: ARCHIVE_STATUS fans out and merges; DELTA_FETCH
-            # fails over — a dumb client pointed at the router just works.
+            # The CLI pointed at the router: the proxy merges the live
+            # archives and fails DELTA_FETCH over to the node holding it.
+            dest = tmp_path / "routed2"
+            assert cli.main([
+                "restore", "--connect", router_addr, "--as-of", "2",
+                "--dest", str(dest),
+            ]) == 0
+            assert restored_map(dest) == originals[2]
+            # A point no archived chain retains is an error, not a guess.
+            assert cli.main([
+                "restore", "--connect", router_addr, "--as-of", "99",
+                "--dest", str(tmp_path / "routed99"),
+            ]) == 1
+            assert "no archived chain retains run 99" in capsys.readouterr().err
+            # The same through a bare NetClient: ARCHIVE_STATUS fans out
+            # and merges; DELTA_FETCH fails over.
             with NetClient(
                 router.server_address[0], router.server_address[1],
                 client_name="dr", retry=FAST_RETRY,

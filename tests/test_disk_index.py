@@ -454,32 +454,8 @@ class TestDegenerateSmallIndex:
 
 
 class TestBucketIO:
-    def test_read_bucket_range(self):
-        index = DiskIndex(4, bucket_bytes=512)
-        for i, fp in enumerate(make_fps(100)):
-            index.insert(fp, i)
-        buckets = index.read_bucket_range(0, 16)
-        assert [b.number for b in buckets] == list(range(16))
-        assert sum(len(b.entries) for b in buckets) == 100
-
-    def test_write_bucket_range_roundtrip(self):
-        index = DiskIndex(4, bucket_bytes=512)
-        buckets = index.read_bucket_range(2, 3)
-        buckets[1].entries.append((make_fps(1)[0], 7))
-        index.write_bucket_range(buckets)
-        assert len(index) == 1
-        assert index.read_bucket(3).entries[0][1] == 7
-
-    def test_nonconsecutive_write_rejected(self):
-        index = DiskIndex(4, bucket_bytes=512)
-        b0, b2 = index.read_bucket(0), index.read_bucket(2)
-        with pytest.raises(ValueError):
-            index.write_bucket_range([b0, b2])
-
     def test_range_bounds(self):
         index = DiskIndex(4, bucket_bytes=512)
-        with pytest.raises(ValueError):
-            index.read_bucket_range(10, 10)
         with pytest.raises(ValueError):
             index.read_bucket(16)
 

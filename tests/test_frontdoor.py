@@ -2,12 +2,11 @@
 
 The cluster tests run two real ``serve`` daemons (cross-replicating at
 RF=2) behind a real :class:`FrontDoorRouter` on loopback sockets, then
-drive everything a deployment would: a dumb client backing up and
-restoring *through* the router, a smart client redirecting off the
-cached ring, a node killed mid-restore (the restore must stay
-byte-identical via the replica set), and a third node joining with the
-resulting rebalance plan executed — interrupted halfway and resumed —
-until every vault passes a deep audit.
+drive everything a deployment would: a client backing up and restoring
+*through* the router's proxy, a node killed mid-restore (the restore
+must stay byte-identical via the replica set), and a third node joining
+with the resulting rebalance plan executed — interrupted halfway and
+resumed — until every vault passes a deep audit.
 
 Health probes are driven manually (``probe_once``) so mark-down timing
 is deterministic; the router's probe interval is set far above the test
@@ -25,7 +24,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.frontdoor.client import RouterClient
 from repro.frontdoor.health import HealthMonitor
 from repro.frontdoor.membership import ClusterMembership, MembershipError
 from repro.frontdoor.rebalance import build_plan, execute_plan
@@ -152,6 +150,11 @@ def job_owned_by(membership, node):
     raise AssertionError(f"no job hashes to {node} in 200 tries")
 
 
+def rebalance_ack(net):
+    """The ``ack`` callback a mover passes to :func:`execute_plan`."""
+    return lambda step_id: net.call_json(m.REBALANCE_ACK, {"id": step_id})
+
+
 class TestMembership:
     def test_epoch_moves_only_on_membership_change(self, tmp_path):
         ms = ClusterMembership(tmp_path / "s")
@@ -221,47 +224,25 @@ class TestHealth:
 
 
 class TestSmartClient:
-    def test_lookup_caches_a_deterministic_ring(self, cluster):
-        rc = RouterClient(cluster.router.host, cluster.router.port, retry=FAST_RETRY)
-        try:
-            doc = rc.lookup()
-            assert doc["epoch"] == cluster.membership.epoch
-            assert sorted(doc["nodes"]) == ["a", "b"]
-            # The handed-out inputs rebuild the identical ring.
-            local = cluster.membership.ring()
-            for i in range(20):
-                key = f"job:probe{i}"
-                assert rc.ring.replicas(key) == local.replicas(key)
-            assert rc.refresh_if_stale() is False
-            # Membership change flips the hint.
-            cluster.membership.join("ghost", "127.0.0.1:1")
-            assert rc.refresh_if_stale() is True
-            assert "ghost" in rc.nodes
-            cluster.membership.leave("ghost")
-        finally:
-            rc.close()
+    """Where a cluster client's job lands when it talks only to the router."""
 
     def test_redirect_backup_lands_on_ring_owner(self, cluster, tmp_path):
         data = write_dataset(tmp_path / "ds")
-        rc = RouterClient(cluster.router.host, cluster.router.port, retry=FAST_RETRY)
+        job = job_owned_by(cluster.membership, "b")
+        client = RemoteBackupClient(
+            cluster.router.host, cluster.router.port, retry=FAST_RETRY
+        )
         try:
-            job = job_owned_by(cluster.membership, "a")
-            client = rc.client_for_job(job, retry=FAST_RETRY)
-            assert (client.net.host, client.net.port) == (
-                cluster.servers["a"].host, cluster.servers["a"].port
-            )
             run = client.backup(job, [data])
-            client.close()
-            # The run is on the owner, not elsewhere.
-            assert any(r.job == job for r in cluster.vaults["a"].runs())
-            assert not any(r.job == job for r in cluster.vaults["b"].runs())
-            located = rc.client_for_run(run.run_id, retry=FAST_RETRY)
-            assert (located.net.host, located.net.port) == (
-                cluster.servers["a"].host, cluster.servers["a"].port
-            )
-            located.close()
+            # The router sent the session to the ring owner, not elsewhere.
+            assert any(r.job == job for r in cluster.vaults["b"].runs())
+            assert not any(r.job == job for r in cluster.vaults["a"].runs())
+            # A restore by run id alone is located on that owner too.
+            dest = tmp_path / "restore"
+            client.restore(run.run_id, dest)
+            assert dataset_bytes(dest) == dataset_bytes(data)
         finally:
-            rc.close()
+            client.close()
 
 
 class TestProxy:
@@ -273,8 +254,9 @@ class TestProxy:
         )
         try:
             run = client.backup(job, [data])
-            # Session frames were pinned to the ring owner.
+            # Session frames were pinned to the ring owner, and only to it.
             assert any(r.job == job for r in cluster.vaults["a"].runs())
+            assert not any(r.job == job for r in cluster.vaults["b"].runs())
             runs = client.runs()
             assert [r.run_id for r in runs] == [run.run_id]
             dest = tmp_path / "restore"
@@ -361,14 +343,13 @@ class TestProxy:
         cluster.kill("b")
         cluster.router.health.probe_once()
         cluster.router.health.probe_once()
-        rc = RouterClient(cluster.router.host, cluster.router.port, retry=FAST_RETRY)
-        try:
-            status = rc.cluster_status()
-            states = {n["name"]: n["state"] for n in status["nodes"]}
-            assert states == {"a": "up", "b": "down"}
-            assert status["epoch"] == cluster.membership.epoch
-        finally:
-            rc.close()
+        with NetClient(
+            cluster.router.host, cluster.router.port, retry=FAST_RETRY
+        ) as net:
+            status = net.call_json(m.CLUSTER_STATUS, {})
+        states = {n["name"]: n["state"] for n in status["nodes"]}
+        assert states == {"a": "up", "b": "down"}
+        assert status["epoch"] == cluster.membership.epoch
 
     def test_backup_fails_over_to_replica_when_owner_down(self, cluster, tmp_path):
         """SESSION_BEGIN picks the first *live* node in ring order, so a
@@ -476,20 +457,6 @@ class TestRunIdCollision:
         finally:
             client.close()
 
-    def test_client_for_run_locates_by_job(self, cluster, tmp_path):
-        s = self._seed(cluster, tmp_path)
-        rc = RouterClient(cluster.router.host, cluster.router.port, retry=FAST_RETRY)
-        try:
-            located = rc.client_for_run(1, job=s.job_b, retry=FAST_RETRY)
-            assert (located.net.host, located.net.port) == (
-                cluster.servers["b"].host, cluster.servers["b"].port
-            )
-            located.close()
-            with pytest.raises(KeyError, match="jobs"):
-                rc.client_for_run(1, retry=FAST_RETRY)
-        finally:
-            rc.close()
-
 
 class TestDownstreamLifecycle:
     @staticmethod
@@ -591,15 +558,15 @@ class TestRebalance:
         # A third node joins over the wire (NODE_JOIN, as --advertise does).
         vault_c = DebarVault(cluster.tmp / "c")
         server_c = start_daemon(vault_c, "c")
-        rc = RouterClient(cluster.router.host, cluster.router.port, retry=FAST_RETRY)
+        net = NetClient(cluster.router.host, cluster.router.port, retry=FAST_RETRY)
         try:
             before = cluster.membership.epoch
-            ack = rc.net.call_json(m.NODE_JOIN, {
+            ack = net.call_json(m.NODE_JOIN, {
                 "name": "c", "address": f"{server_c.host}:{server_c.port}",
             })
             assert ack["changed"] and ack["epoch"] == before + 1
 
-            plan = rc.rebalance_plan()
+            plan = net.call_json(m.REBALANCE_PLAN, {})
             addresses = plan.pop("addresses")
             assert plan["epoch"] == cluster.membership.epoch
             steps = plan["steps"]
@@ -617,43 +584,39 @@ class TestRebalance:
 
             # Execute one step, then "crash" the mover.
             report = execute_plan(
-                plan, addresses, ack=rc.rebalance_ack, retry=FAST_RETRY, limit=1
+                plan, addresses, ack=rebalance_ack(net), retry=FAST_RETRY,
+                limit=1,
             )
             assert report["executed"] == 1
             assert report["pending"] == len(steps) - 1
 
             # A fresh mover resumes the same plan: done work stays done.
-            rc2 = RouterClient(
+            with NetClient(
                 cluster.router.host, cluster.router.port, retry=FAST_RETRY
-            )
-            try:
-                resumed = rc2.rebalance_plan()
+            ) as net2:
+                resumed = net2.call_json(m.REBALANCE_PLAN, {})
                 addresses2 = resumed.pop("addresses")
                 assert resumed["epoch"] == plan["epoch"]
                 assert sum(1 for s in resumed["steps"] if s["done"]) == 1
                 report2 = execute_plan(
-                    resumed, addresses2, ack=rc2.rebalance_ack, retry=FAST_RETRY
+                    resumed, addresses2, ack=rebalance_ack(net2),
+                    retry=FAST_RETRY,
                 )
                 assert report2["pending"] == 0 and not report2["failed"]
-            finally:
-                rc2.close()
 
             # Re-planning now finds nothing left to move (idempotent).
-            rc3 = RouterClient(
+            with NetClient(
                 cluster.router.host, cluster.router.port, retry=FAST_RETRY
-            )
-            try:
-                done_plan = rc3.rebalance_plan()
+            ) as net3:
+                done_plan = net3.call_json(m.REBALANCE_PLAN, {})
                 assert all(s["done"] for s in done_plan["steps"]) or not done_plan["steps"]
-            finally:
-                rc3.close()
 
             # The new node now holds verified replicas...
             moved = {(s["origin"], s["container_id"]) for s in steps}
             for origin, cid in moved:
                 assert cid in server_c.replica_store.container_ids(origin)
         finally:
-            rc.close()
+            net.close()
             server_c.shutdown()
             server_c.server_close()
 
@@ -700,11 +663,6 @@ class TestRouterTelemetry:
             client.restore(run.run_id, tmp_path / "out")
         finally:
             client.close()
-        rc = RouterClient(cluster.router.host, cluster.router.port, retry=FAST_RETRY)
-        try:
-            rc.lookup()
-        finally:
-            rc.close()
         from repro.telemetry.export import build_snapshot
         from repro.telemetry.schema import validate_snapshot
 
@@ -714,7 +672,6 @@ class TestRouterTelemetry:
             "router.requests",
             "router.proxied_frames",
             "router.proxy_latency",
-            "router.lookups",
             "router.sessions_routed",
             "router.ring_epoch",
         ):
@@ -733,7 +690,7 @@ class TestCli:
         router_addr = f"{cluster.router.host}:{cluster.router.port}"
         job = job_owned_by(cluster.membership, "a")
         rc = cli.main([
-            "backup", "--route", router_addr, "--job", job,
+            "backup", "--connect", router_addr, "--job", job,
             "--connect-timeout", "1.0", str(data),
         ])
         assert rc == 0
@@ -747,13 +704,20 @@ class TestCli:
         assert {n["name"] for n in doc["nodes"]} == {"a", "b"}
         captured = capsys.readouterr()
         assert "epoch" in captured.out
+        rc = cli.main(["rebalance", "--route", router_addr, "--dry-run"])
+        assert rc == 0
+        assert f"plan at epoch {cluster.membership.epoch}" in capsys.readouterr().out
 
     def test_exactly_one_target_enforced(self, tmp_path):
         from repro import cli
 
-        with pytest.raises(SystemExit) as exc:
-            cli.main([
-                "list", "--vault", str(tmp_path / "v"),
-                "--route", "127.0.0.1:1",
-            ])
-        assert exc.value.code == 2
+        vault = str(tmp_path / "v")
+        for argv in (
+            ["list", "--vault", vault, "--connect", "127.0.0.1:1"],
+            ["list"],
+            # Data commands take no --route: a cluster client uses --connect.
+            ["backup", "--route", "127.0.0.1:1", "--job", "j", vault],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv

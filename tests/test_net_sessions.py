@@ -135,6 +135,32 @@ class TestSessionAbort:
             assert server.registry.total("net.sessions_aborted") == 1
             assert server.registry.value("net.session_buffered_bytes") == 0
 
+    def test_repeated_fingerprint_in_one_batch_is_counted_once(self, tmp_path):
+        """A batch carrying one chunk twice buffers (and releases) it once,
+        so the vault-wide and tenant counters return to zero on abort;
+        a leak there would end with every append shed Busy."""
+        tenants = [TenantConfig.parse("alice=s3cret")]
+        with serving(tmp_path, tenants=tenants) as (vault, server):
+            with NetClient(
+                "127.0.0.1", server.port, client_name="alice",
+                token="s3cret", retry=FAST_RETRY,
+            ) as net:
+                session = begin_session(net)
+                fp, data = b"\x07" * 20, b"d" * 1000
+                payload = m._U32.pack(session) + m.encode_chunk_batch(
+                    [(fp, data), (fp, data)]
+                )
+                ack = m.decode_json(net.call(m.CHUNK_APPEND, payload))
+                assert ack == {"appended": 1, "received": 2}
+                assert server.registry.value("net.session_buffered_bytes") == 1000
+                aborted = m.decode_json(
+                    net.call(m.SESSION_ABORT, m.encode_json({"session": session}))
+                )
+                assert aborted["discarded_bytes"] == 1000
+            assert server.open_sessions() == 0
+            assert server.registry.value("net.session_buffered_bytes") == 0
+            assert server._tenant_buffered.get("alice", 0) == 0
+
     def test_client_aborts_session_when_backup_fails(self, tmp_path):
         with serving(tmp_path) as (vault, server):
             data = write_dataset(tmp_path)
@@ -266,6 +292,20 @@ class TestTenancy:
             assert exc.value.error == "AuthError"
             net.close()
             assert server.registry.total("net.auth_failures") >= 1
+
+    @pytest.mark.parametrize("command", ["runs", "repl-status", "archive-status"])
+    def test_cli_presents_tenant_credentials(self, tmp_path, capsys, command):
+        """Every remote CLI command presents --client/--token in its
+        handshake, ``repl-status`` and ``archive-status`` included."""
+        from repro import cli
+
+        with serving(tmp_path, tenants=list(self.TENANTS)) as (vault, server):
+            target = ["--connect", f"127.0.0.1:{server.port}"]
+            assert cli.main([command, *target]) == 1
+            assert "AuthError" in capsys.readouterr().err
+            assert cli.main(
+                [command, *target, "--client", "alice", "--token", "s3cret"]
+            ) == 0
 
     @ONE_CORE
     def test_tenant_quota_is_a_hard_error(self, tmp_path, core):

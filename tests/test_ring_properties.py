@@ -1,10 +1,10 @@
 """Property tests for the placement ring (DESIGN.md §11.1).
 
-The front door's redirect mode hands smart clients nothing but the ring
-*inputs* and trusts them to place every key identically, and its
-rebalancer trusts that a join disturbs only ~1/N of the keys.  These
-are exactly the properties checked here, under hypothesis-generated
-node sets and key populations:
+Every node's replicator and the front door's rebalance planner build
+the ring independently from the same inputs and trust each other to
+place every key identically, and the rebalancer trusts that a join
+disturbs only ~1/N of the keys.  These are exactly the properties
+checked here, under hypothesis-generated node sets and key populations:
 
 * **monotonicity** (exact, not statistical): adding a node either
   leaves a key's primary alone or moves it *to the new node* — the
@@ -13,9 +13,10 @@ node sets and key populations:
   as the ideal 1/N (vnode variance allowed for, hard cap enforced);
 * **replica sets** never repeat a node and have exactly
   ``min(rf, n)`` members, with the origin heading its containers';
-* **determinism across processes**: a subprocess rebuilding the ring
-  from ``to_doc()`` places a key population identically (byte-equal
-  JSON), which is what lets routed clients skip the router entirely.
+* **determinism across processes**: a subprocess building the ring
+  from the same constructor inputs places a key population identically
+  (byte-equal JSON), which is what lets two processes agree on
+  placement without exchanging it.
 """
 
 import json
@@ -112,31 +113,20 @@ def test_leave_is_the_mirror_of_join(nodes, keys):
             assert now == old, f"{key!r} moved although {gone!r} never owned it"
 
 
-@settings(max_examples=30, deadline=None)
-@given(nodes=node_names, rf=st.integers(min_value=1, max_value=4))
-def test_doc_round_trip_rebuilds_the_identical_ring(nodes, rf):
-    ring = PlacementRing(nodes, replication_factor=rf)
-    clone = PlacementRing.from_doc(json.loads(json.dumps(ring.to_doc())))
-    for i in range(50):
-        key = f"ctr:{nodes[i % len(nodes)]}:{i}"
-        assert clone.replicas(key, rf=len(nodes)) == ring.replicas(
-            key, rf=len(nodes)
-        )
-
-
 _CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from repro.replication.ring import PlacementRing
 spec = json.load(sys.stdin)
-ring = PlacementRing.from_doc(spec["doc"])
+ring = PlacementRing(spec["nodes"], replication_factor=spec["rf"])
 print(json.dumps({k: ring.replicas(k) for k in spec["keys"]}, sort_keys=True))
 """
 
 
 def test_ring_iteration_deterministic_across_processes():
-    """The redirect contract end-to-end: a *separate interpreter* fed
-    only ``to_doc()`` places 300 keys byte-identically."""
+    """Placement is a pure function of the ring's inputs: a *separate
+    interpreter* given only the node list and replication factor places
+    300 keys byte-identically."""
     ring = PlacementRing(["alpha", "beta", "gamma", "delta"],
                          replication_factor=3)
     keys = [f"ctr:alpha:{i}" for i in range(200)]
@@ -148,7 +138,9 @@ def test_ring_iteration_deterministic_across_processes():
     src = str(Path(__file__).resolve().parent.parent / "src")
     child = subprocess.run(
         [sys.executable, "-c", _CHILD, src],
-        input=json.dumps({"doc": ring.to_doc(), "keys": keys}),
+        input=json.dumps({
+            "nodes": ring.nodes, "rf": ring.replication_factor, "keys": keys,
+        }),
         capture_output=True, text=True, check=True,
     )
     assert child.stdout.strip() == local
