@@ -60,7 +60,6 @@ def scaled_cluster(
         lpc_containers=lpc_containers,
         siu_every=2,
         materialize=False,
-        sparse_index=True,
     )
     return DebarCluster(
         w_bits=w_bits,

@@ -12,7 +12,7 @@ backend.)
 
 On top of the interface sit the cold-tier read planner (adjacent chunk
 ranges coalesced into batched multi-range GETs — :mod:`repro.backend.planner`),
-a pluggable container-metadata cache (:mod:`repro.backend.cache`), and the
+the cold container-metadata LRU cache (:mod:`repro.backend.cache`), and the
 hot→cold lifecycle manager (:mod:`repro.backend.lifecycle`).  The tiered
 repository that threads them under the existing vault stack is
 :class:`repro.storage.tiered.TieredChunkRepository`.  See DESIGN.md §13.
@@ -28,7 +28,7 @@ from repro.backend.base import (
     ThrottledError,
     TransientBackendError,
 )
-from repro.backend.cache import LruMetaCache, MetaCache, NullMetaCache
+from repro.backend.cache import LruMetaCache
 from repro.backend.lifecycle import (
     ContainerAge,
     LifecycleManager,
@@ -50,9 +50,7 @@ __all__ = [
     "LifecycleManager",
     "LifecyclePolicy",
     "LruMetaCache",
-    "MetaCache",
     "MigrationReport",
-    "NullMetaCache",
     "ObjectMissingError",
     "ObjectStat",
     "ObjectStoreBackend",

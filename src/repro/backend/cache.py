@@ -1,11 +1,10 @@
-"""Pluggable container-metadata caches for the cold tier.
+"""The cold tier's container-metadata cache.
 
 A cold container's metadata section (its chunk records) is needed by
 every ranged read, scrub pass and lifecycle scan; re-fetching it from the
 object store per access would double the request count.  The tiered
-repository therefore reads metadata through a :class:`MetaCache` — an
-injectable interface with an in-memory LRU adapter here and room for
-out-of-process adapters (Redis-style) behind the same three methods.
+repository therefore reads cold metadata through one bounded in-memory
+LRU, :class:`LruMetaCache`.
 
 Cache values are treated as immutable by contract (sealed containers
 never change; invalidation happens only on repair/GC).
@@ -19,44 +18,9 @@ from typing import Dict, Optional
 from repro.telemetry.registry import MetricsRegistry, get_registry
 
 
-class MetaCache:
-    """Interface: container id -> parsed metadata (opaque to the cache)."""
-
-    def get(self, container_id: int):
-        raise NotImplementedError
-
-    def put(self, container_id: int, meta) -> None:
-        raise NotImplementedError
-
-    def invalidate(self, container_id: int) -> None:
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        raise NotImplementedError
-
-    @property
-    def hit_rate(self) -> float:
-        return 0.0
-
-
-class NullMetaCache(MetaCache):
-    """No caching: every access misses (the measurement baseline)."""
-
-    def get(self, container_id: int):
-        return None
-
-    def put(self, container_id: int, meta) -> None:
-        pass
-
-    def invalidate(self, container_id: int) -> None:
-        pass
-
-    def clear(self) -> None:
-        pass
-
-
-class LruMetaCache(MetaCache):
-    """In-memory LRU adapter with ``storage.meta_cache_*`` telemetry."""
+class LruMetaCache:
+    """Container id -> parsed metadata section (opaque to the cache), with
+    ``storage.meta_cache_*`` telemetry."""
 
     def __init__(
         self,

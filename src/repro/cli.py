@@ -26,7 +26,7 @@
     python -m repro backup  --connect host:7700 --job homedirs /data/home
     python -m repro cluster-status --connect host:7700 --json cluster.json
     python -m repro rebalance --route host:7700
-    python -m repro serve   --vault /srv/archive --port 7080 --archive \\
+    python -m repro serve   --vault /srv/archive --port 7080 \\
                             --retention keep-last=7,daily=14
     python -m repro serve   --vault ~/.debar --port 7070 --node-name a \\
                             --archive-to vaultkeep=host:7080
@@ -604,28 +604,19 @@ def cmd_serve(args) -> int:
                 + ", ".join(sorted(peers)),
                 flush=True,
             )
-        if args.archive or args.retention:
-            # Archive role: the server's delta handlers are always live;
-            # a retention policy compacts stored chains (expired points
-            # merged forward) after each push.
+        if args.retention:
+            # Every daemon accepts delta chains; a retention policy compacts
+            # stored chains (expired points merged forward) after each push.
             from repro.archive.retention import RetentionPolicy
 
             try:
-                retention = (
-                    RetentionPolicy.parse(args.retention)
-                    if args.retention else None
-                )
+                retention = RetentionPolicy.parse(args.retention)
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 server.shutdown_gracefully(timeout=1.0)
                 return EXIT_USAGE
             server.archive_retention = retention
-            print(
-                "archive role enabled "
-                + (f"(retention {retention.spec()})" if retention
-                   else "(keeping every restore point)"),
-                flush=True,
-            )
+            print(f"archive retention {retention.spec()}", flush=True)
         if args.archive_to:
             from repro.archive.shipper import ArchiveShipper
 
@@ -1174,11 +1165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replication-factor", type=int, default=2,
                    help="copies per container, this node included")
     p.add_argument(
-        "--archive", action="store_true",
-        help="archive role: accept DELTA_PUSH chains from origin vaults "
-        "and serve point-in-time restores from them (DESIGN.md §15)",
-    )
-    p.add_argument(
         "--archive-to",
         action="append",
         default=None,
@@ -1190,7 +1176,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--retention", default=None, metavar="SPEC",
         help="archive retention policy, e.g. keep-last=7,daily=14,"
         "weekly=8; expired points merge forward so every surviving "
-        "--as-of stays restorable (implies --archive)",
+        "--as-of stays restorable (every daemon accepts DELTA_PUSH "
+        "chains and serves point-in-time restores from them, DESIGN.md §15)",
     )
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    metavar="SECONDS",

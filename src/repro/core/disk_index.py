@@ -39,12 +39,7 @@ from repro.core.fingerprint import (
 )
 from repro.durability.crc import crc32c
 from repro.durability.errors import CorruptionError
-from repro.storage.blockstore import (
-    BlockStore,
-    FileBlockStore,
-    MemoryBlockStore,
-    SparseMemoryBlockStore,
-)
+from repro.storage.blockstore import BlockStore, FileBlockStore, MemoryBlockStore
 from repro.util import bit_prefix
 
 #: On-disk size of one index entry: fingerprint + 40-bit container ID.
@@ -230,10 +225,7 @@ class DiskIndex:
         # store; rebuilt from disk when attached to a possibly non-empty
         # store (a freshly created store is all zeros by construction).
         self._counts: List[int] = [0] * self.n_buckets
-        known_empty = created_here or (
-            isinstance(store, SparseMemoryBlockStore) and store.resident_bytes == 0
-        )
-        if not known_empty:
+        if not created_here:
             self._load_counts()
 
     # -- construction helpers ------------------------------------------------
@@ -573,17 +565,14 @@ class DiskIndex:
     def _successor_store(self) -> Optional[BlockStore]:
         """A fresh ``2^(n+1)``-bucket store of the same backing kind.
 
-        ``None`` (for plain memory stores) defers to the default
+        ``None`` (for memory stores) defers to the default
         :class:`MemoryBlockStore` allocation in ``__init__``.
         """
-        size = 2 * self.n_buckets * self.bucket_bytes
         if isinstance(self._store, FileBlockStore):
             tmp = self._store.path.with_name(self._store.path.name + ".scale")
             if tmp.exists():
                 tmp.unlink()  # stale temp from an interrupted scaling
-            return FileBlockStore(tmp, size)
-        if isinstance(self._store, SparseMemoryBlockStore):
-            return SparseMemoryBlockStore(size)
+            return FileBlockStore(tmp, 2 * self.n_buckets * self.bucket_bytes)
         return None
 
     def split(self, w_bits: int) -> List["DiskIndex"]:

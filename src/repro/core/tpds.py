@@ -120,8 +120,9 @@ class TwoPhaseDeduplicator:
         Run SIU after every ``siu_every``-th dedup-2 (asynchronous SIU, one
         SIU servicing several SILs, Section 5.4).
     rig / clock:
-        Device cost models and the simulated clock; pass ``rig=None`` to run
-        pure logic with no time accounting.
+        Device cost models and the simulated clock; ``rig=None`` selects the
+        paper's rig (:func:`~repro.simdisk.presets.paper_rig`) — simulated
+        time is always accounted.
     affinity:
         Repository placement affinity (the server number in a cluster).
     telemetry:
@@ -223,6 +224,12 @@ class TwoPhaseDeduplicator:
         Returns the session stats and the *file index* — the full fingerprint
         sequence of the stream, which the director stores to make the backup
         restorable (Section 3.3).
+
+        A materialized engine never logs a group without its payload: an
+        admitted chunk that arrives without data (a remote client that
+        skipped its upload) counts as filtered when the index or the
+        checking file already holds it, and otherwise the whole session is
+        refused with :class:`ValueError` before anything is appended.
         """
         t0 = self.clock.now
         stats = Dedup1Stats()
@@ -239,7 +246,10 @@ class TwoPhaseDeduplicator:
                 file_index.append(fp)
                 stats.logical_chunks += 1
                 stats.logical_bytes += size
-                if prefilter.check(fp) is FilterDecision.NEW:
+                if prefilter.check(fp) is FilterDecision.NEW and (
+                    data is not None or not self.materialize
+                    or not self._stored_without_payload(fp)
+                ):
                     new.append((fp, data, size))
                     stats.transferred_chunks += 1
                     stats.transferred_bytes += size
@@ -279,6 +289,18 @@ class TwoPhaseDeduplicator:
         self._t_d1_chunks.inc(stats.logical_chunks)
         self._t_d1_filtered.inc(stats.filtered_chunks)
         return stats, file_index
+
+    def _stored_without_payload(self, fp: Fingerprint) -> bool:
+        """Whether an admitted chunk that reached a materialized engine
+        without its payload may count as filtered: only if the index or
+        checking file already holds it, else the session is refused
+        (``ValueError``)."""
+        if fp in self.checking or fp in self.index:
+            return True
+        raise ValueError(
+            f"chunk {fp.hex()[:12]} was admitted as new but its payload "
+            f"never arrived; session refused"
+        )
 
     @property
     def undetermined_count(self) -> int:

@@ -237,7 +237,7 @@ class VaultProtocolServer(AsyncFrameServer):
         self.registry = registry
         #: Delta chains pushed by origin vaults (vault/archive/<origin>/...).
         #: Created unconditionally, like the replica store — a node serves
-        #: what it holds; the --archive role only adds retention.
+        #: what it holds; ``--retention`` only adds compaction.
         self.archive_store = ArchiveStore(
             Path(vault.root) / "archive", registry=registry
         )
@@ -245,7 +245,7 @@ class VaultProtocolServer(AsyncFrameServer):
         #: --archive-to is given; None on a standalone daemon.
         self.replicator = None
         self.archive_shipper = None
-        #: Retention policy of the archive role (repro.archive.retention),
+        #: Retention policy of the stored delta chains (repro.archive.retention),
         #: set by the CLI from --retention; None keeps every restore point.
         self.archive_retention: Optional[RetentionPolicy] = None
         self._t_bytes_in = registry.counter(
@@ -655,7 +655,11 @@ class VaultProtocolServer(AsyncFrameServer):
         doc = m.decode_json(payload)
         threshold = float(doc.get("rewrite_threshold", 0.5))
         with self.vault_lock:
-            report = self.vault.gc(rewrite_threshold=threshold)
+            # An open session's client skips uploading every chunk its
+            # filter was preloaded with; those must survive until it commits.
+            report = self.vault.gc(rewrite_threshold=threshold, extra_live=[
+                fp for s in self._sessions.values() for fp in s.filtering or ()
+            ])
         return m.GC_OK, m.encode_json(vars(report))
 
     def _on_verify(self, payload: bytes) -> Tuple[int, bytes]:
@@ -739,7 +743,7 @@ class VaultProtocolServer(AsyncFrameServer):
                 # a node whose containers have been migrated cold.
                 image = self.vault.repository.read_image(container_id)
         else:
-            image = self.replica_store.fetch_image(origin, container_id)
+            image = self.replica_store.repository(origin).read_image(container_id)
         return m.CONTAINER_IMAGE, m.encode_container_image(
             {"origin": origin, "container_id": container_id, "bytes": len(image)},
             image,

@@ -10,10 +10,11 @@ The protocol (DESIGN.md §11.4):
    with);
 3. ``CONTAINER_FETCH`` every container id the status union named, first
    holder wins, next holder on failure;
-4. verify each pulled image **fingerprint by fingerprint** — the image
-   must deserialize, every payload CRC must hold, and every record's
-   payload must re-hash to its fingerprint — before the byte-identical
-   image lands in the new vault's ``containers/``;
+4. verify each pulled image **fingerprint by fingerprint** with
+   :meth:`~repro.storage.container.Container.verified` — the image must
+   deserialize, every payload CRC must hold, and every record's payload
+   must re-hash to its fingerprint — before the byte-identical image is
+   written through the new vault's ``containers/`` repository;
 5. reopen the vault and :meth:`~repro.system.vault.DebarVault.recover_index`
    (the paper's Section 4.1 metadata-section recovery), then audit.
 
@@ -29,12 +30,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.fingerprint import fingerprint as sha1
 from repro.durability.errors import CorruptionError
 from repro.net import messages as m
 from repro.net.client import NetClient, RemoteError, RetryPolicy
 from repro.net.framing import ProtocolError
 from repro.storage.container import Container
+from repro.storage.file_repository import FileChunkRepository
 from repro.system.catalog import (
     VaultError,
     check_document,
@@ -81,34 +82,6 @@ class RebuildReport:
             "audit_ok": self.audit_ok,
             "notes": self.notes,
         }
-
-
-def verify_image(node: str, container_id: int, image: bytes, capacity: int) -> int:
-    """Fingerprint-by-fingerprint verification of one pulled image.
-
-    Returns the number of verified chunks; raises
-    :class:`~repro.durability.errors.CorruptionError` on the first record
-    whose payload fails its CRC or does not re-hash to its fingerprint.
-    """
-    container = Container.deserialize(container_id, image, capacity=capacity)
-    faults = container.verify_payloads()
-    if faults:
-        raise CorruptionError(
-            f"replica image of container {container_id} ({node}) failed "
-            f"payload verification: {faults[0].reason}",
-            artifact="container", container_id=container_id,
-        )
-    for record in container.records:
-        if sha1(container.get(record.fingerprint)) != record.fingerprint:
-            raise CorruptionError(
-                f"container {container_id} ({node}): payload of "
-                f"{record.fingerprint.hex()[:12]} does not re-hash to its "
-                f"fingerprint",
-                artifact="container",
-                container_id=container_id,
-                fingerprint=record.fingerprint,
-            )
-    return len(container.records)
 
 
 def rebuild_node(
@@ -183,8 +156,7 @@ def rebuild_node(
             )
         capacity = catalog["container_bytes"]
         root.mkdir(parents=True, exist_ok=True)
-        containers_dir = root / "containers"
-        containers_dir.mkdir(exist_ok=True)
+        containers = FileChunkRepository(root / "containers", container_bytes=capacity)
         # 3 + 4. Pull and verify every container the inventory named.
         for cid in sorted(holders):
             image: Optional[bytes] = None
@@ -195,9 +167,9 @@ def rebuild_node(
                         m.encode_json({"origin": node, "container_id": cid}),
                     )
                     _, candidate = m.decode_container_image(payload)
-                    report.chunks_verified += verify_image(
-                        node, cid, candidate, capacity or len(candidate)
-                    )
+                    report.chunks_verified += len(Container.verified(
+                        cid, candidate, capacity or len(candidate)
+                    ).records)
                     image = candidate
                     report.sources[cid] = name
                     break
@@ -210,7 +182,7 @@ def rebuild_node(
             if image is None:
                 report.containers_missing.append(cid)
                 continue
-            (containers_dir / f"{cid:012x}.ctr").write_bytes(image)
+            containers.write_image(cid, image)
             report.containers_recovered += 1
             report.bytes_recovered += len(image)
         if report.containers_missing:

@@ -10,12 +10,15 @@ images beside — never inside — its own repository::
           000000000003.ctr     origin's container 3, byte-identical image
           catalog.json         origin's mirrored run catalog
 
-Images stay in the exact on-disk format the origin wrote (superblock,
-framed records, payload CRCs), so a rebuild pull returns bytes the lost
-node could have written itself, and the local scrubber machinery could
-sweep them with no special casing.  Every accepted push is re-verified
-here — the image must deserialize and every payload must pass its CRC —
-so a replica can never launder a corrupt container into the cluster.
+Each ``replicas/<origin>/`` directory is a
+:class:`~repro.storage.file_repository.FileChunkRepository`, the same
+container directory a vault keeps: images stay in the exact on-disk format
+the origin wrote (superblock, framed records, payload CRCs), so a rebuild
+pull returns bytes the lost node could have written itself.  Every
+accepted push passes :meth:`~repro.storage.container.Container.verified`
+first — it must parse, every payload must pass its CRC and re-hash to its
+fingerprint — so a replica can never launder a corrupt container into the
+cluster.
 
 The store also answers ``read_chunk`` for failover reads: a lazy
 fingerprint → (origin, container) map built from the images' metadata
@@ -32,6 +35,7 @@ from repro.core.fingerprint import Fingerprint
 from repro.durability.errors import CorruptionError
 from repro.durability.fsshim import LocalFs
 from repro.storage.container import CONTAINER_SIZE, Container
+from repro.storage.file_repository import FileChunkRepository
 from repro.system.catalog import (
     has_document,
     mirrored_run_count,
@@ -39,11 +43,9 @@ from repro.system.catalog import (
     write_document,
 )
 
-_SUFFIX = ".ctr"
-
 
 class ReplicaStoreError(ValueError):
-    """A push that must be refused (corrupt image, bad envelope)."""
+    """A push that must be refused (bad envelope)."""
 
 
 def _safe_origin(origin: str) -> str:
@@ -65,6 +67,7 @@ class ReplicaStore:
         self.container_bytes = container_bytes
         self.fs = fs if fs is not None else LocalFs()
         self._lock = threading.Lock()
+        self._repos: Dict[str, FileChunkRepository] = {}
         #: fingerprint -> (origin, container_id); rebuilt lazily.
         self._fp_map: Optional[Dict[Fingerprint, Tuple[str, int]]] = None
 
@@ -72,8 +75,18 @@ class ReplicaStore:
     def _origin_dir(self, origin: str) -> Path:
         return self.root / _safe_origin(origin)
 
-    def _path(self, origin: str, container_id: int) -> Path:
-        return self._origin_dir(origin) / f"{container_id:012x}{_SUFFIX}"
+    def repository(self, origin: str) -> FileChunkRepository:
+        """The container directory of ``origin`` (``KeyError`` if none is
+        held; :meth:`put` creates it)."""
+        folder = self._origin_dir(origin)
+        repo = self._repos.get(origin)
+        if repo is None:
+            if not folder.is_dir():
+                raise KeyError(f"no replicas from {origin!r}")
+            repo = self._repos.setdefault(origin, FileChunkRepository(
+                folder, container_bytes=self.container_bytes, fs=self.fs
+            ))
+        return repo
 
     def origins(self) -> List[str]:
         if not self.root.is_dir():
@@ -81,19 +94,10 @@ class ReplicaStore:
         return sorted(p.name for p in self.root.iterdir() if p.is_dir())
 
     def container_ids(self, origin: str) -> List[int]:
-        folder = self._origin_dir(origin)
-        if not folder.is_dir():
+        try:
+            return self.repository(origin).container_ids()
+        except KeyError:
             return []
-        return sorted(int(p.stem, 16) for p in folder.glob(f"*{_SUFFIX}"))
-
-    def has(self, origin: str, container_id: int) -> bool:
-        return self.fs.exists(self._path(origin, container_id))
-
-    def bytes_held(self, origin: str) -> int:
-        folder = self._origin_dir(origin)
-        if not folder.is_dir():
-            return 0
-        return sum(p.stat().st_size for p in folder.glob(f"*{_SUFFIX}"))
 
     # -- ingest -----------------------------------------------------------------
     def put(self, origin: str, container_id: int, image: bytes) -> bool:
@@ -101,21 +105,14 @@ class ReplicaStore:
         duplicate (same origin/id already held — the bytes are trusted to
         match because pushes are content-verified and containers immutable).
         """
-        path = self._path(origin, container_id)  # validates the origin name
-        container = Container.deserialize(
-            container_id, image, capacity=self.container_bytes
-        )
-        faults = container.verify_payloads()
-        if faults:
-            raise ReplicaStoreError(
-                f"pushed container {container_id} from {origin!r} failed "
-                f"payload verification ({faults[0].reason})"
-            )
+        folder = self._origin_dir(origin)  # validates the origin name
+        Container.verified(container_id, image, capacity=self.container_bytes)
         with self._lock:
-            if self.fs.exists(path):
+            folder.mkdir(parents=True, exist_ok=True)
+            repo = self.repository(origin)
+            if container_id in repo:
                 return False
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self.fs.write_file(path, image)
+            repo.write_image(container_id, image)
             self._fp_map = None  # new chunks became servable
         return True
 
@@ -125,14 +122,6 @@ class ReplicaStore:
         write_document(folder, catalog, self.fs)
 
     # -- retrieval ---------------------------------------------------------------
-    def fetch_image(self, origin: str, container_id: int) -> bytes:
-        path = self._path(origin, container_id)
-        if not self.fs.exists(path):
-            raise KeyError(
-                f"no replica of container {container_id} from {origin!r}"
-            )
-        return self.fs.read_file(path)
-
     def catalog(self, origin: str) -> dict:
         if not self.has_catalog(origin):
             raise KeyError(f"no mirrored catalog for {origin!r}")
@@ -146,17 +135,14 @@ class ReplicaStore:
             if self._fp_map is None:
                 fp_map: Dict[Fingerprint, Tuple[str, int]] = {}
                 for origin in self.origins():
-                    for cid in self.container_ids(origin):
+                    repo = self.repository(origin)
+                    for cid in repo.container_ids():
                         try:
-                            container = Container.deserialize(
-                                cid,
-                                self.fs.read_file(self._path(origin, cid)),
-                                capacity=self.container_bytes,
-                            )
+                            records, _ = repo.fetch_meta(cid)
                         except CorruptionError:
                             continue  # rotted replica: never served
-                        for fp in container.fingerprints:
-                            fp_map.setdefault(fp, (origin, cid))
+                        for record in records:
+                            fp_map.setdefault(record.fingerprint, (origin, cid))
                 self._fp_map = fp_map
             return self._fp_map
 
@@ -166,21 +152,19 @@ class ReplicaStore:
         if location is None:
             raise KeyError(f"fingerprint {fp.hex()[:12]} not replicated here")
         origin, cid = location
-        container = Container.deserialize(
-            cid, self.fetch_image(origin, cid), capacity=self.container_bytes
-        )
-        return container.get(fp)
+        return self.repository(origin).fetch(cid).get(fp)
 
     # -- inventory ---------------------------------------------------------------
     def status(self) -> Dict[str, dict]:
         """Per-origin inventory, the body of a ``REPL_STATUS`` response."""
         out: Dict[str, dict] = {}
         for origin in self.origins():
-            cids = self.container_ids(origin)
+            repo = self.repository(origin)
+            cids = repo.container_ids()
             entry = {
                 "containers": len(cids),
                 "container_ids": cids,
-                "bytes": self.bytes_held(origin),
+                "bytes": sum(self.fs.file_size(repo.path_for(c)) for c in cids),
                 "catalog_runs": None,
             }
             if self.has_catalog(origin):

@@ -17,7 +17,6 @@ from repro.core.tpds import Dedup1Stats, StreamChunk, TwoPhaseDeduplicator
 from repro.director.metadata import FileIndexEntry, FileMetadata
 from repro.server.chunk_store import ChunkStore
 from repro.simdisk import ClockLane, PaperRig, paper_rig
-from repro.storage.blockstore import SparseMemoryBlockStore
 from repro.storage.chunk_log import ChunkLog
 from repro.storage.container import CONTAINER_SIZE
 from repro.storage.repository import ChunkRepository
@@ -40,8 +39,6 @@ class BackupServerConfig:
     lpc_containers: int = 16
     siu_every: int = 1
     materialize: bool = False
-    #: Back the index with a page-sparse store (large scaled geometries).
-    sparse_index: bool = False
 
 
 def stream_file(
@@ -83,15 +80,9 @@ class BackupServer:
         self.config = config if config is not None else BackupServerConfig()
         self.w_bits = w_bits
         if index is None:
-            store = None
-            if self.config.sparse_index:
-                store = SparseMemoryBlockStore(
-                    (1 << self.config.index_n_bits) * self.config.index_bucket_bytes
-                )
             index = DiskIndex(
                 self.config.index_n_bits,
                 bucket_bytes=self.config.index_bucket_bytes,
-                store=store,
                 prefix_bits=w_bits,
                 prefix_value=number if w_bits else 0,
                 seed=number,

@@ -1,11 +1,6 @@
 """Storage substrates: block stores, containers, chunk repository, chunk log, LPC."""
 
-from repro.storage.blockstore import (
-    BlockStore,
-    MemoryBlockStore,
-    SparseMemoryBlockStore,
-    FileBlockStore,
-)
+from repro.storage.blockstore import BlockStore, FileBlockStore, MemoryBlockStore
 from repro.storage.container import (
     Container,
     ContainerManager,
@@ -20,7 +15,6 @@ from repro.storage.defrag import DefragmentationManager, DefragReport
 __all__ = [
     "BlockStore",
     "MemoryBlockStore",
-    "SparseMemoryBlockStore",
     "FileBlockStore",
     "Container",
     "ContainerManager",

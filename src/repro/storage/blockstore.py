@@ -1,13 +1,14 @@
 """Fixed-size random-access byte stores backing the disk index.
 
 The disk index needs only three primitives — read a range, write a range,
-report its size — so both an in-memory store (fast, for tests and scaled
-benchmarks) and a real file-backed store (for the on-disk examples) satisfy
-one small interface.
+report its size — so one store per medium satisfies one small interface:
+an in-memory store (tests, simulations and scaled benchmarks; it holds
+only the pages written) and a real file-backed store (vaults).
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 from abc import ABC, abstractmethod
 from pathlib import Path
@@ -40,12 +41,18 @@ class BlockStore(ABC):
 
 
 class MemoryBlockStore(BlockStore):
-    """A zero-initialised in-memory store."""
+    """A zero-initialised in-memory store on an anonymous private mapping.
+
+    The kernel backs only the pages that have been written, so a large,
+    mostly empty index geometry (the cluster experiments address hundreds
+    of MB per part) costs memory in proportion to the buckets it touches,
+    while reads and writes run at the speed of a dense buffer.
+    """
 
     def __init__(self, size: int) -> None:
         if size <= 0:
             raise ValueError("size must be positive")
-        self._buf = bytearray(size)
+        self._buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
     @property
     def size(self) -> int:
@@ -53,66 +60,11 @@ class MemoryBlockStore(BlockStore):
 
     def read(self, offset: int, length: int) -> bytes:
         self._check_range(offset, length)
-        return bytes(self._buf[offset : offset + length])
+        return self._buf[offset : offset + length]
 
     def write(self, offset: int, data: bytes) -> None:
         self._check_range(offset, len(data))
         self._buf[offset : offset + len(data)] = data
-
-
-class SparseMemoryBlockStore(BlockStore):
-    """An in-memory store that only materialises written pages.
-
-    A disk index is mostly zeros until well filled; backing it with a
-    page-sparse store lets the cluster experiments address multi-hundred-MB
-    index geometries while allocating only the touched buckets.
-    """
-
-    PAGE = 4096
-
-    def __init__(self, size: int) -> None:
-        if size <= 0:
-            raise ValueError("size must be positive")
-        self._size = size
-        self._pages: dict = {}
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def _page(self, number: int) -> bytearray:
-        page = self._pages.get(number)
-        if page is None:
-            page = bytearray(self.PAGE)
-            self._pages[number] = page
-        return page
-
-    def read(self, offset: int, length: int) -> bytes:
-        self._check_range(offset, length)
-        out = bytearray(length)
-        pos = 0
-        while pos < length:
-            page_no, page_off = divmod(offset + pos, self.PAGE)
-            take = min(self.PAGE - page_off, length - pos)
-            page = self._pages.get(page_no)
-            if page is not None:
-                out[pos : pos + take] = page[page_off : page_off + take]
-            pos += take
-        return bytes(out)
-
-    def write(self, offset: int, data: bytes) -> None:
-        self._check_range(offset, len(data))
-        pos = 0
-        while pos < len(data):
-            page_no, page_off = divmod(offset + pos, self.PAGE)
-            take = min(self.PAGE - page_off, len(data) - pos)
-            self._page(page_no)[page_off : page_off + take] = data[pos : pos + take]
-            pos += take
-
-    @property
-    def resident_bytes(self) -> int:
-        """Memory actually allocated (diagnostic)."""
-        return len(self._pages) * self.PAGE
 
 
 class FileBlockStore(BlockStore):

@@ -363,6 +363,40 @@ class Container:
             base_offset=self.data_start,
         )
 
+    @classmethod
+    def verified(
+        cls, container_id: int, image: bytes, capacity: int = CONTAINER_SIZE
+    ) -> "Container":
+        """Parse an image that arrived from another node and prove it whole.
+
+        The one check for replica pushes and rebuild pulls: the parse
+        checks the superblock and metadata CRC, one CRC batch checks every
+        payload, then every payload re-hashes to its fingerprint — a record
+        CRC recomputed over flipped payload bytes passes the CRC check but
+        not the SHA-1, so such an image is never stored or served.  Raises
+        :class:`CorruptionError` naming the first bad record.
+        """
+        container = cls.deserialize(container_id, image, capacity=capacity)
+        faults = container.verify_payloads()
+        if not faults:
+            data = memoryview(container.data)
+            faults = [
+                PayloadFault(rec.fingerprint, container.data_start + rec.offset,
+                             "payload does not re-hash to its fingerprint")
+                for rec in container.records
+                if hashlib.sha1(data[rec.offset : rec.offset + rec.size]).digest()
+                != rec.fingerprint
+            ]
+        if faults:
+            fault = faults[0]
+            raise CorruptionError(
+                f"container {container_id}: {fault.reason} for "
+                f"{fault.fingerprint.hex()[:12]}",
+                artifact="container", container_id=container_id,
+                fingerprint=fault.fingerprint, offset=fault.file_offset,
+            )
+        return container
+
 
 class ContainerWriter:
     """An open in-memory container being filled in SISL order.

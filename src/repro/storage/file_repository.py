@@ -3,7 +3,9 @@
 One serialized file per container (``containers/0000000000a3.ctr``), the
 container ID in the name.  Self-description (Section 3.4) does the rest:
 reopening scans the directory, and the disk index can always be rebuilt
-from the metadata sections alone.
+from the metadata sections alone.  It is the one implementation of such a
+directory: a vault's ``containers/`` (through the tiered subclass), each
+origin's ``replicas/<origin>/`` and a rebuilt vault all go through it.
 
 Interface-compatible with :class:`~repro.storage.repository.ChunkRepository`
 for everything the single-server stack uses (allocate/store/fetch/locate,
@@ -17,6 +19,7 @@ at a time.  The read cache above it is the chunk store's LPC
 from __future__ import annotations
 
 import errno
+from contextlib import suppress
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
@@ -47,23 +50,21 @@ class FileChunkRepository:
             self.root.mkdir(parents=True, exist_ok=True)
         elif not self.root.is_dir():
             raise FileNotFoundError(f"no repository at {self.root}")
-        self._ids = sorted(
-            int(p.stem, 16) for p in self.root.glob(f"*{_SUFFIX}")
-        )
-        self._next_id = (self._ids[-1] + 1) if self._ids else 0
-
-    def _path(self, container_id: int) -> Path:
-        return self.root / f"{container_id:012x}{_SUFFIX}"
-
-    def _open(self, container_id: int):
-        path = self._path(container_id)
-        if not self.fs.exists(path):
-            raise KeyError(f"container {container_id} not in repository")
-        return open(path, "rb")
+        self._ids = {int(p.stem, 16) for p in self.root.glob(f"*{_SUFFIX}")}
+        self._next_id = max(self._ids) + 1 if self._ids else 0
 
     def path_for(self, container_id: int) -> Path:
         """On-disk path of a container image (scrub reads these raw)."""
-        return self._path(container_id)
+        return self.root / f"{container_id:012x}{_SUFFIX}"
+
+    def _existing(self, container_id: int) -> Path:
+        path = self.path_for(container_id)
+        if not self.fs.exists(path):
+            raise KeyError(f"container {container_id} not in repository")
+        return path
+
+    def _open(self, container_id: int):
+        return open(self._existing(container_id), "rb")
 
     # -- the ChunkRepository interface ----------------------------------------
     def allocate_id(self) -> int:
@@ -76,25 +77,36 @@ class FileChunkRepository:
     def store(self, container: Container, affinity: Optional[int] = None) -> int:
         if container.container_id in self:
             raise ValueError(f"container {container.container_id} already stored")
-        path = self._path(container.container_id)
-        blob = container.serialize()
+        self.write_image(container.container_id, container.serialize())
+        return 0  # single node
+
+    def write_image(self, container_id: int, blob: bytes) -> None:
+        """Write (or overwrite) one container image as given.
+
+        The one write path of the directory: transient errors are retried,
+        and a full disk raises :class:`DiskFullError` with no torn file
+        left behind — the file never landed, so callers can abort cleanly
+        and resume.
+        """
+        path = self.path_for(container_id)
         try:
             io_retry(lambda: self.fs.write_file(path, blob), on_retry=self.on_retry)
         except OSError as exc:
-            if exc.errno == errno.ENOSPC:
-                # Leave no torn container behind; the ID was consumed but the
-                # file never landed, so callers can abort cleanly and resume.
-                try:
-                    if self.fs.exists(path):
-                        self.fs.unlink(path)
-                except OSError:
-                    pass
-                raise DiskFullError(
-                    f"container {container.container_id}: {exc}", artifact="container"
-                ) from exc
-            raise
-        self._ids.append(container.container_id)
-        return 0  # single node
+            if exc.errno != errno.ENOSPC:
+                raise
+            with suppress(OSError):
+                if self.fs.exists(path):
+                    self.fs.unlink(path)
+            self._ids.discard(container_id)
+            raise DiskFullError(
+                f"container {container_id}: {exc}", artifact="container"
+            ) from exc
+        self._ids.add(container_id)
+
+    def read_image(self, container_id: int) -> bytes:
+        """The full serialized image (replication, ``CONTAINER_FETCH``,
+        scrub repair)."""
+        return self.fs.read_file(self._existing(container_id))
 
     def fetch(self, container_id: int) -> Container:
         with self._open(container_id) as fh:
@@ -105,11 +117,8 @@ class FileChunkRepository:
 
     def remove(self, container_id: int) -> None:
         """Delete a container (garbage collection of dead containers)."""
-        path = self._path(container_id)
-        if not self.fs.exists(path):
-            raise KeyError(f"container {container_id} not in repository")
-        self.fs.unlink(path)
-        self._ids.remove(container_id)
+        self.fs.unlink(self._existing(container_id))
+        self._ids.discard(container_id)
 
     def locate(self, container_id: int) -> int:
         if container_id not in self:
@@ -117,7 +126,7 @@ class FileChunkRepository:
         return 0
 
     def __contains__(self, container_id: int) -> bool:
-        return self._path(container_id).exists()
+        return self.path_for(container_id).exists()
 
     def __len__(self) -> int:
         return len(self._ids)

@@ -13,16 +13,18 @@ it, unlink the file — and a crash between those steps just leaves both
 copies, which the next (idempotent) migration pass finishes.
 
 Cold reads are ranged: the metadata section comes from a bounded prefix
-GET (parsed by :meth:`Container.parse_meta`, cached in an injectable
-:class:`~repro.backend.cache.MetaCache`), payloads from byte-range GETs —
+GET (parsed by :meth:`Container.parse_meta`, cached in the repository's
+:class:`~repro.backend.cache.LruMetaCache`), payloads from byte-range GETs —
 ``fetch`` pulls only the data section, never the zero padding, and
 :meth:`verify_cold_payloads` scrubs a container with coalesced multi-range
 GETs instead of downloading the image.  No container is held in memory
 here: the bounded metadata cache holds only cold metadata sections, and
 the read cache of whole containers is the chunk store's LPC.
 
-With no cold backend attached the class is behaviourally identical to its
-parent — the vault constructs it unconditionally at zero cost.
+Every hot-tier operation — the image write path and whole-image reads
+included — is the parent's; this class adds only the cold branches.  With
+no cold backend attached it is behaviourally identical to its parent — the
+vault constructs it unconditionally at zero cost.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.backend.base import ObjectMissingError, StorageBackend
-from repro.backend.cache import MetaCache, NullMetaCache
-from repro.durability.errors import CorruptionError, TornWriteError
+from repro.backend.cache import LruMetaCache
+from repro.durability.errors import TornWriteError
 from repro.durability.fsshim import LocalFs
 from repro.storage.container import (
     CONTAINER_SIZE,
@@ -42,6 +44,7 @@ from repro.storage.container import (
     verify_records,
 )
 from repro.storage.file_repository import FileChunkRepository
+from repro.telemetry.registry import MetricsRegistry
 from repro.util.ranges import RANGE_GAP, SegmentBuffer, Span, coalesce
 
 PathLike = Union[str, Path]
@@ -61,21 +64,26 @@ class TieredChunkRepository(FileChunkRepository):
         fs: Optional[LocalFs] = None,
         on_retry: Optional[Callable[[], None]] = None,
         cold: Optional[StorageBackend] = None,
-        meta_cache: Optional[MetaCache] = None,
+        meta_cache: Optional[LruMetaCache] = None,
     ) -> None:
         super().__init__(
             root, container_bytes=container_bytes, create=create, fs=fs,
             on_retry=on_retry,
         )
         self.cold: Optional[StorageBackend] = None
-        self.meta_cache: MetaCache = meta_cache or NullMetaCache()
+        # A private registry until a cold tier is attached with the vault's
+        # own cache: a hot-only repository exports no cache metrics.
+        self.meta_cache = (
+            meta_cache if meta_cache is not None
+            else LruMetaCache(registry=MetricsRegistry())
+        )
         self._cold_ids: set = set()
         if cold is not None:
-            self.attach_cold(cold, meta_cache=meta_cache)
+            self.attach_cold(cold)
 
     # -- cold-tier plumbing ---------------------------------------------------
     def attach_cold(
-        self, backend: StorageBackend, meta_cache: Optional[MetaCache] = None
+        self, backend: StorageBackend, meta_cache: Optional[LruMetaCache] = None
     ) -> None:
         """Wire a cold backend in (idempotent; rescans cold membership)."""
         self.cold = backend
@@ -95,7 +103,7 @@ class TieredChunkRepository(FileChunkRepository):
         return f"{container_id:012x}.ctr"
 
     def _hot(self, container_id: int) -> bool:
-        return self.fs.exists(self._path(container_id))
+        return self.fs.exists(self.path_for(container_id))
 
     def _cold_object(self, container_id: int) -> str:
         """The cold key of a container the cold tier holds (else KeyError)."""
@@ -107,21 +115,18 @@ class TieredChunkRepository(FileChunkRepository):
         """``"hot"`` or ``"cold"`` (hot wins when both copies exist)."""
         if self._hot(container_id):
             return TIER_HOT
-        if self.cold is not None and container_id in self._cold_ids:
-            return TIER_COLD
-        raise KeyError(f"container {container_id} not in repository")
+        self._cold_object(container_id)  # KeyError when neither tier holds it
+        return TIER_COLD
 
     # -- membership overrides -------------------------------------------------
     def __contains__(self, container_id: int) -> bool:
-        return (
-            super().__contains__(container_id) or container_id in self._cold_ids
-        )
+        return container_id in self._cold_ids or super().__contains__(container_id)
 
     def __len__(self) -> int:
-        return len(set(self._ids) | self._cold_ids)
+        return len(self._ids | self._cold_ids)
 
     def container_ids(self) -> list:
-        return sorted(set(self._ids) | self._cold_ids)
+        return sorted(self._ids | self._cold_ids)
 
     # -- cold metadata --------------------------------------------------------
     def fetch_meta(
@@ -161,7 +166,7 @@ class TieredChunkRepository(FileChunkRepository):
         on a batching backend (the cold read planner's workhorse)."""
         if self._hot(container_id):
             out = []
-            with open(self._path(container_id), "rb") as fh:
+            with self._open(container_id) as fh:
                 for offset, length in ranges:
                     out.append(self.fs.pread(fh, offset, length))
             return out
@@ -171,19 +176,17 @@ class TieredChunkRepository(FileChunkRepository):
     def read_image(self, container_id: int) -> bytes:
         """The full serialized image, byte-identical on either tier."""
         if self._hot(container_id):
-            return self.fs.read_file(self._path(container_id))
+            return super().read_image(container_id)
         return self.cold.get(self._cold_object(container_id))
 
     def write_image(self, container_id: int, blob: bytes) -> None:
         """Overwrite a container image in place on whichever tier holds it
         (repair path).  The cold metadata cache is invalidated; a container
         neither tier holds lands hot (the rebuild-from-sources case)."""
-        if self.cold is not None and container_id in self._cold_ids and not self._hot(container_id):
+        if container_id in self._cold_ids and not self._hot(container_id):
             self.cold.put(self.cold_key(container_id), blob)
         else:
-            self.fs.write_file(self._path(container_id), blob)
-            if container_id not in self._ids:
-                self._ids.append(container_id)
+            super().write_image(container_id, blob)
         self.meta_cache.invalidate(container_id)
 
     def quarantine(self, container_id: int) -> str:
@@ -193,7 +196,7 @@ class TieredChunkRepository(FileChunkRepository):
         a follow-up :meth:`write_image` heals onto the same tier; until it
         does, fetches raise ``KeyError`` like any missing container.
         """
-        path = self._path(container_id)
+        path = self.path_for(container_id)
         if self.fs.exists(path):
             qpath = path.with_suffix(path.suffix + ".quarantine")
             self.fs.replace(path, qpath)
@@ -245,7 +248,7 @@ class TieredChunkRepository(FileChunkRepository):
         """
         if self.cold is None:
             raise RuntimeError("no cold backend attached")
-        path = self._path(container_id)
+        path = self.path_for(container_id)
         if not self.fs.exists(path):
             if container_id in self._cold_ids:
                 return 0
@@ -271,8 +274,7 @@ class TieredChunkRepository(FileChunkRepository):
             raise
         self.meta_cache.put(container_id, parsed)
         self.fs.unlink(path)
-        if container_id in self._ids:
-            self._ids.remove(container_id)
+        self._ids.discard(container_id)
         return len(blob)
 
     # -- ranged scrub ---------------------------------------------------------
@@ -312,7 +314,7 @@ class TieredChunkRepository(FileChunkRepository):
     def tier_report(self) -> Dict[str, Dict[str, int]]:
         """Per-tier container counts and stored bytes (``tier-status``)."""
         hot_ids = [cid for cid in self._ids if self._hot(cid)]
-        hot_bytes = sum(self.fs.file_size(self._path(cid)) for cid in hot_ids)
+        hot_bytes = sum(self.fs.file_size(self.path_for(cid)) for cid in hot_ids)
         cold_only = sorted(self._cold_ids - set(hot_ids))
         cold_bytes = 0
         if self.cold is not None:
@@ -325,7 +327,6 @@ class TieredChunkRepository(FileChunkRepository):
             TIER_HOT: {"containers": len(hot_ids), "bytes": hot_bytes},
             TIER_COLD: {"containers": len(cold_only), "bytes": cold_bytes},
         }
-        status = getattr(self.meta_cache, "status", None)
-        if callable(status):
-            report["meta_cache"] = status()
+        if self.cold is not None:
+            report["meta_cache"] = self.meta_cache.status()
         return report

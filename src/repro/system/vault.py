@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.backend.cache import LruMetaCache
 from repro.backend.objectstore import ObjectStoreBackend, RequestProfile
@@ -543,8 +543,14 @@ class DebarVault:
             live.update(fps)
         return live
 
-    def gc(self, rewrite_threshold: float = 0.5) -> GcReport:
+    def gc(
+        self, rewrite_threshold: float = 0.5, extra_live: Iterable[bytes] = ()
+    ) -> GcReport:
         """Reclaim space from chunks no catalogued run references.
+
+        ``extra_live`` are further fingerprints to keep: a daemon passes the
+        filtering fingerprints of its open sessions, whose clients skip
+        uploading those chunks because they trust them stored.
 
         Three-way disposition per container: fully live -> keep; fully
         dead -> delete (and purge its index entries); partially live with
@@ -556,7 +562,7 @@ class DebarVault:
         if not 0 <= rewrite_threshold <= 1:
             raise VaultError("rewrite_threshold must be in [0, 1]")
         with trace_span("gc", sim_clock=self.tpds.clock) as gc_span:
-            report = self._gc(rewrite_threshold)
+            report = self._gc(rewrite_threshold, extra_live)
             gc_span.set_io(bytes_out=report.bytes_reclaimed)
             gc_span.annotate(
                 removed=report.containers_removed,
@@ -570,8 +576,9 @@ class DebarVault:
             self.replicator.notify_run(None)
         return report
 
-    def _gc(self, rewrite_threshold: float) -> GcReport:
+    def _gc(self, rewrite_threshold: float, extra_live: Iterable[bytes]) -> GcReport:
         live = self.live_fingerprints()
+        live.update(extra_live)
         report = GcReport()
         index = self.tpds.index
         writer: Optional["ContainerWriter"] = None

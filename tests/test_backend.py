@@ -13,7 +13,7 @@ from repro.backend.base import (
     ThrottledError,
     TransientBackendError,
 )
-from repro.backend.cache import LruMetaCache, NullMetaCache
+from repro.backend.cache import LruMetaCache
 from repro.backend.objectstore import (
     FAULTS_FILE,
     BackendFaultRule,
@@ -283,12 +283,6 @@ class TestFaultInjection:
 
 
 class TestMetaCache:
-    def test_null_cache_never_hits(self):
-        cache = NullMetaCache()
-        cache.put(1, "meta")
-        assert cache.get(1) is None
-        assert cache.hit_rate == 0.0
-
     def test_lru_hit_and_miss(self):
         cache = LruMetaCache(capacity=4, registry=MetricsRegistry())
         assert cache.get(1) is None

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.disk_index import DiskIndex
-from repro.storage import FileBlockStore, MemoryBlockStore, SparseMemoryBlockStore
+from repro.storage import FileBlockStore, MemoryBlockStore
 from repro.util import bit_prefix
 from tests.conftest import make_fps
 
@@ -123,13 +123,14 @@ class TestScalingStorePreservation:
         assert not path.with_name("idx.bin.scale").exists()
 
     def test_sparse_store_scaling_stays_sparse(self):
-        index = DiskIndex(
-            4, bucket_bytes=512, store=SparseMemoryBlockStore(16 * 512)
-        )
+        # The in-memory store backs only the pages written, so a scaled
+        # memory index stays in memory (and page-sparse), never on a file.
+        index = DiskIndex(4, bucket_bytes=512, store=MemoryBlockStore(16 * 512))
         for i, fp in enumerate(make_fps(60)):
             index.insert(fp, i)
         scaled = index.scale_capacity()
-        assert isinstance(scaled.store, SparseMemoryBlockStore)
+        assert type(scaled.store) is MemoryBlockStore
+        assert scaled.store.size == 32 * 512
         assert len(scaled) == 60
 
     def test_explicit_store_is_honoured(self):

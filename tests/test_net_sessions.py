@@ -402,3 +402,65 @@ class TestLatencyAccounting:
             # accounting would have folded in.
             assert ping["sum"] < 0.2, ping
             assert registry.total("net.retries") >= 1
+
+
+class TestCommitIntegrity:
+    def test_commit_missing_a_payload_is_refused_and_logs_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        # A client that never sends one admitted chunk's CHUNK_APPEND: the
+        # commit must fail without appending a payload-less group to the
+        # chunk log, which dedup-2 (and every later open's recovery) could
+        # not store.
+        data = write_dataset(tmp_path, size=20000)
+        encode = m.encode_chunk_batch
+        skipped = []
+
+        def skip_first_chunk(chunks):
+            if not skipped:
+                skipped.append(chunks[0][0])
+                chunks = chunks[1:]
+            return encode(chunks)
+
+        with serving(tmp_path) as (vault, server):
+            with RemoteBackupClient(
+                "127.0.0.1", server.port, retry=FAST_RETRY
+            ) as rc:
+                monkeypatch.setattr(m, "encode_chunk_batch", skip_first_chunk)
+                with pytest.raises(RemoteError, match="payload never arrived"):
+                    rc.backup("j", [str(data)])
+                monkeypatch.setattr(m, "encode_chunk_batch", encode)
+            assert skipped and server.open_sessions() == 0
+        with DebarVault(tmp_path / "vault") as reopened:
+            assert len(reopened.tpds.chunk_log) == 0
+            assert reopened.runs() == []
+            run = reopened.backup("j", [str(data)])
+            reopened.restore(run.run_id, tmp_path / "out", strip_prefix=tmp_path)
+        for i in range(2):
+            assert (tmp_path / "out" / "data" / f"f{i}.bin").read_bytes() == (
+                data / f"f{i}.bin"
+            ).read_bytes()
+
+    def test_gc_during_an_open_session_keeps_its_filtering_chunks(self, tmp_path):
+        # Session 2's filter trusts run 1's chunks as stored, so its client
+        # uploads none of them; forgetting run 1 and collecting garbage
+        # before the commit must not delete them.
+        data = write_dataset(tmp_path, size=20000)
+        with serving(tmp_path) as (vault, server):
+            with RemoteBackupClient(
+                "127.0.0.1", server.port, retry=FAST_RETRY
+            ) as rc:
+                assert rc.backup("j", [str(data)]).run_id == 1
+                session = begin_session(rc.net, "j")
+                rc.forget(1)
+                rc.gc(rewrite_threshold=0.9)
+                for metadata, chunks in rc.engine.iter_dataset([data]):
+                    rc._send_file(session, metadata, chunks)
+                summary = rc.net.call_json(m.SESSION_COMMIT, {"session": session})
+                assert summary["run_id"] == 2 and summary["transferred_bytes"] == 0
+                rc.restore(2, tmp_path / "out", strip_prefix=tmp_path)
+                assert rc.verify(deep=True)["ok"]
+        for i in range(2):
+            assert (tmp_path / "out" / "data" / f"f{i}.bin").read_bytes() == (
+                data / f"f{i}.bin"
+            ).read_bytes()

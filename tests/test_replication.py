@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.fingerprint import fingerprint as sha1
+from repro.durability.errors import CorruptionError
 from repro.durability.fsshim import LocalFs
 from repro.durability.scrubber import Scrubber
 from repro.net import messages as m
@@ -27,7 +29,7 @@ from repro.replication.replicator import Replicator, peers_from_state
 from repro.replication.ring import PlacementRing
 from repro.replication.store import ReplicaStore, ReplicaStoreError
 from repro.net.server import serve_vault
-from repro.storage.container import ContainerWriter
+from repro.storage.container import META_PREFIX_GUESS, Container, ContainerWriter
 from repro.storage.reader import ChunkReader
 from repro.system.vault import DebarVault
 from repro.telemetry.registry import MetricsRegistry
@@ -45,15 +47,13 @@ def write_dataset(root, n_files=4, seed=11):
     return data
 
 
-def make_image(container_id=7, n_chunks=3, seed=3, capacity=1 << 20):
+def make_image(container_id=7, n_chunks=3, seed=3, capacity=1 << 20, size=600):
     """A serialized, materialized container image plus its chunks."""
-    from repro.core.fingerprint import fingerprint as sha1
-
     rng = random.Random(seed)
     writer = ContainerWriter(capacity, materialize=True)
     chunks = {}
     for _ in range(n_chunks):
-        data = rng.randbytes(600)
+        data = rng.randbytes(size)
         fp = sha1(data)
         writer.add(fp, data=data)
         chunks[fp] = data
@@ -67,6 +67,16 @@ def rot_payload(image, chunks):
     bad = bytearray(image)
     bad[at] ^= 0xFF
     return bytes(bad)
+
+
+def launder(chunks, container_id=7, capacity=1 << 20):
+    """An image whose first payload has a byte flipped *and* its record
+    CRC recomputed over the flipped bytes: every CRC holds, and only the
+    fingerprint check can tell."""
+    writer = ContainerWriter(capacity, materialize=True)
+    for i, (fp, data) in enumerate(chunks.items()):
+        writer.add(fp, data=bytes([data[0] ^ 0xFF]) + data[1:] if i == 0 else data)
+    return writer.seal(container_id).serialize()
 
 
 def start_daemon(vault, node_name):
@@ -171,7 +181,7 @@ class TestReplicaStore:
         assert store.put("a", 7, image) is True
         assert store.put("a", 7, image) is False  # duplicate: no-op ack
         assert store.container_ids("a") == [7]
-        assert store.fetch_image("a", 7) == image
+        assert store.repository("a").read_image(7) == image
         for fp, data in chunks.items():
             assert store.read_chunk(fp) == data
 
@@ -181,6 +191,46 @@ class TestReplicaStore:
         with pytest.raises(Exception):
             store.put("a", 7, rot_payload(image, chunks))
         assert store.container_ids("a") == []
+
+    def test_put_refuses_laundered_image(self, tmp_path):
+        store = ReplicaStore(tmp_path / "replicas")
+        _, chunks = make_image()
+        laundered = launder(chunks)
+        # The laundered image passes every CRC the parse and the payload
+        # batch check ...
+        assert not Container.deserialize(7, laundered, 1 << 20).verify_payloads()
+        # ... but is refused, never stored and never served.
+        with pytest.raises(CorruptionError, match="re-hash to its fingerprint"):
+            store.put("a", 7, laundered)
+        assert store.container_ids("a") == []
+        with pytest.raises(KeyError):
+            store.read_chunk(next(iter(chunks)))
+
+    def test_fingerprint_map_reads_metadata_sections_only(self, tmp_path):
+        reads = []
+
+        class RecordingFs(LocalFs):
+            def read_file(self, path):
+                reads.append(("whole image", path))
+                return super().read_file(path)
+
+            def pread(self, fh, offset, length):
+                reads.append((offset, length))
+                return super().pread(fh, offset, length)
+
+        store = ReplicaStore(tmp_path / "replicas", fs=RecordingFs())
+        size = 4 * META_PREFIX_GUESS
+        held = {}
+        for cid in (1, 2):
+            image, chunks = make_image(container_id=cid, seed=cid, size=size)
+            store.put("a", cid, image)
+            held.update(chunks)
+        reads.clear()
+        fp_map = store._ensure_fp_map()
+        assert set(fp_map) == set(held)
+        # One bounded metadata prefix per image; the payload bytes past it
+        # (all but a sliver of each container's 3 x 32 KiB) are never read.
+        assert reads == [(0, META_PREFIX_GUESS)] * 2
 
     def test_rejects_path_escaping_origins(self, tmp_path):
         store = ReplicaStore(tmp_path / "replicas")
@@ -210,7 +260,7 @@ class TestAsyncReplication:
         held = server_b.replica_store
         assert held.container_ids("a") == vault_a.repository.container_ids()
         for cid in held.container_ids("a"):
-            assert held.fetch_image("a", cid) == vault_a.fs.read_file(
+            assert held.repository("a").read_image(cid) == vault_a.fs.read_file(
                 vault_a.repository.path_for(cid)
             )
         assert held.catalog("a")["runs"][0]["run_id"] == 1
@@ -239,6 +289,20 @@ class TestAsyncReplication:
                     m.encode_container_image(
                         {"origin": "elsewhere", "container_id": 4},
                         rot_payload(image, chunks),
+                    ),
+                )
+        assert server_b.replica_store.container_ids("elsewhere") == []
+
+    def test_laundered_push_refused(self, cluster):
+        _, _, server_b, _, _ = cluster
+        _, chunks = make_image(container_id=4)
+        with NetClient(server_b.host, server_b.port, retry=FAST_RETRY) as net:
+            with pytest.raises(RemoteError, match="re-hash to its fingerprint"):
+                net.call(
+                    m.CONTAINER_PUSH,
+                    m.encode_container_image(
+                        {"origin": "elsewhere", "container_id": 4},
+                        launder(chunks, container_id=4),
                     ),
                 )
         assert server_b.replica_store.container_ids("elsewhere") == []

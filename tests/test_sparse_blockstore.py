@@ -1,26 +1,37 @@
-"""Tests for the page-sparse block store and the append cost model."""
+"""Tests for the page-sparse in-memory block store and the append cost model."""
+
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simdisk import DiskModel
-from repro.storage import MemoryBlockStore, SparseMemoryBlockStore
+from repro.storage import MemoryBlockStore
 from repro.util import MB
 
+PAGE = 4096
 
-class TestSparseMemoryBlockStore:
+
+def resident_bytes() -> int:
+    """This process's resident set size (Linux ``/proc/self/statm``)."""
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * PAGE
+
+
+class TestMemoryBlockStorePages:
     def test_zero_initialised(self):
-        store = SparseMemoryBlockStore(1 << 20)
+        store = MemoryBlockStore(1 << 20)
         assert store.read(12345, 100) == b"\x00" * 100
-        assert store.resident_bytes == 0
+        assert store.read(0, 1 << 20) == bytes(1 << 20)
 
     def test_write_read_roundtrip(self):
-        store = SparseMemoryBlockStore(1 << 20)
+        store = MemoryBlockStore(1 << 20)
         store.write(5000, b"hello sparse world")
         assert store.read(5000, 18) == b"hello sparse world"
 
     def test_write_spanning_pages(self):
-        store = SparseMemoryBlockStore(1 << 20)
+        store = MemoryBlockStore(1 << 20)
         payload = bytes(range(256)) * 40  # 10240 bytes, > 2 pages
         store.write(4000, payload)  # crosses page boundaries
         assert store.read(4000, len(payload)) == payload
@@ -28,20 +39,36 @@ class TestSparseMemoryBlockStore:
         assert store.read(3999, 1) == b"\x00"
         assert store.read(4000 + len(payload), 1) == b"\x00"
 
-    def test_resident_tracks_touched_pages(self):
-        store = SparseMemoryBlockStore(1 << 30)  # 1 GB addressable
-        store.write(0, b"x")
-        store.write(1 << 29, b"y")
-        assert store.resident_bytes == 2 * SparseMemoryBlockStore.PAGE
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc/self/statm"
+    )
+    def test_resident_memory_tracks_written_pages(self):
+        rng = random.Random(7)
+        before = resident_bytes()
+        store = MemoryBlockStore(1 << 30)  # 1 GiB addressable
+        writes = [
+            (rng.randrange(0, (1 << 30) - 8192), rng.randbytes(8192))
+            for _ in range(16)
+        ]
+        for offset, data in writes:
+            store.write(offset, data)
+        grown = resident_bytes() - before
+        # 16 writes touch at most 48 pages; a dense 1 GiB buffer would be
+        # resident in full.
+        assert grown < 4 * MB
+        for offset, data in writes:
+            assert store.read(offset, len(data)) == data
 
     def test_bounds_checked(self):
-        store = SparseMemoryBlockStore(1024)
+        store = MemoryBlockStore(1024)
         with pytest.raises(ValueError):
             store.read(1000, 100)
         with pytest.raises(ValueError):
             store.write(1020, b"too long")
         with pytest.raises(ValueError):
-            SparseMemoryBlockStore(0)
+            store.read(-1, 4)
+        with pytest.raises(ValueError):
+            MemoryBlockStore(0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -51,18 +78,19 @@ class TestSparseMemoryBlockStore:
             max_size=12,
         )
     )
-    def test_property_equivalent_to_dense(self, writes):
-        """The sparse store is observably identical to a dense one."""
+    def test_property_matches_bytearray_model(self, writes):
+        """The store is observably identical to a plain ``bytearray``."""
         size = 1 << 16
-        sparse = SparseMemoryBlockStore(size)
-        dense = MemoryBlockStore(size)
+        store = MemoryBlockStore(size)
+        model = bytearray(size)
         for offset, data in writes:
             data = data[: size - offset]
             if not data:
                 continue
-            sparse.write(offset, data)
-            dense.write(offset, data)
-        assert sparse.read(0, size) == dense.read(0, size)
+            store.write(offset, data)
+            model[offset : offset + len(data)] = data
+            assert store.read(offset, len(data)) == data
+        assert store.read(0, size) == bytes(model)
 
 
 class TestAppendCostModel:

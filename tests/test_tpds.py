@@ -1,8 +1,11 @@
 """Tests for the single-server two-phase de-duplication scheme."""
 
+import random
+
 import pytest
 
 from repro.core.disk_index import DiskIndex
+from repro.core.fingerprint import fingerprint
 from repro.core.tpds import TwoPhaseDeduplicator
 from repro.storage import ChunkRepository
 from tests.conftest import make_fps
@@ -69,6 +72,43 @@ class TestDedup1:
         assert stats.elapsed > 0
         assert stats.throughput > 0
         assert tpds.meter.by_category["dedup1.pipeline"] > 0
+
+
+class TestPayloadGuard:
+    """A materialized engine never logs an admitted chunk without its data."""
+
+    @staticmethod
+    def chunks(n, seed=5):
+        rng = random.Random(seed)
+        blobs = [rng.randbytes(700) for _ in range(n)]
+        return [(fingerprint(b), len(b), b) for b in blobs]
+
+    def test_missing_payload_refuses_the_session_and_logs_nothing(self):
+        tpds, _ = make_tpds(materialize=True)
+        chunks = self.chunks(4)
+        fp, size, _ = chunks[2]
+        chunks[2] = (fp, size, None)
+        with pytest.raises(ValueError, match="payload never arrived"):
+            tpds.dedup1_backup(chunks)
+        assert len(tpds.chunk_log) == 0
+        assert tpds.undetermined_count == 0
+
+    def test_missing_payload_of_a_stored_chunk_counts_as_filtered(self):
+        tpds, _ = make_tpds(materialize=True)
+        stored = self.chunks(3)
+        tpds.dedup1_backup(stored)
+        tpds.dedup2()
+        fresh = self.chunks(2, seed=6)
+        # The filter was not preloaded, so the stored chunk is admitted
+        # again; the client knew it was stored and sent no payload.
+        fp, size, _ = stored[0]
+        stats, _ = tpds.dedup1_backup([(fp, size, None)] + fresh)
+        assert stats.transferred_chunks == 2
+        assert stats.filtered_chunks == 1
+        assert [record.fingerprint for record in tpds.chunk_log.replay()] == [
+            c[0] for c in fresh
+        ]
+        assert tpds.dedup2().new_chunks_stored == 2
 
 
 class TestDedup2:
